@@ -1,14 +1,14 @@
 //! Online city-scale ingestion benchmark: ≥ 1 M tag observations across
 //! 1 000 simulated poles streamed through the watermarked `caraoke-live`
-//! engine, measured against the batch `caraoke-city` baseline.
+//! engine.
 //!
 //! Besides the Criterion timings, the bench pins the online determinism
 //! contract: the sealed window fingerprint chain must be byte-identical
 //! across shard counts, worker counts and **two distinct arrival
 //! interleavings** (pole-striped multi-threaded vs seeded shuffled-FIFO),
-//! and the online totals must equal the batch pipeline's aggregates.
+//! and the chain and totals must equal the `caraoke_city::reference` fold.
 
-use caraoke_city::{BatchDriver, StoreConfig, SyntheticCity};
+use caraoke_city::{reference, FrameSource, StoreConfig, SyntheticCity};
 use caraoke_live::{Interleaving, LiveConfig, LiveDriver};
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -65,7 +65,6 @@ fn bench(c: &mut Criterion) {
     let workers = timed_workers();
     let mut striped = live_driver(workers, 16, Interleaving::PoleStriped).run(&source);
     let mut online_best = striped.observations_per_sec();
-    let mut batch_best = 0.0f64;
     for _ in 0..2 {
         let rerun = live_driver(workers, 16, Interleaving::PoleStriped).run(&source);
         if rerun.observations_per_sec() > online_best {
@@ -95,32 +94,29 @@ fn bench(c: &mut Criterion) {
         "window chain must be invariant to arrival interleaving"
     );
 
-    // The online totals must agree with the batch pipeline byte-for-byte
-    // (batch throughput recorded best-of-3 like the online side).
-    let batch_driver = BatchDriver {
-        workers: 8,
-        consumers: 2,
-        queue_capacity: 4096,
-        store: StoreConfig::default(),
-    };
-    let batch = batch_driver.run(&source);
-    batch_best = batch_best.max(batch.observations_per_sec());
-    for _ in 0..2 {
-        batch_best = batch_best.max(batch_driver.run(&source).observations_per_sec());
-    }
+    // The chain and totals must agree with the reference fold byte-for-byte.
+    let oracle = reference::fold(
+        source.directory(),
+        &StoreConfig::default(),
+        LiveConfig::default().pane_us,
+        &reference::reports_of(&source),
+    );
     assert_eq!(
-        striped.totals.fingerprint(),
-        batch.aggregates.fingerprint(),
-        "online totals must equal the batch aggregates"
+        striped.totals,
+        oracle.totals(),
+        "online totals must equal the reference fold"
+    );
+    assert_eq!(
+        striped.chain_fingerprint,
+        oracle.chain(),
+        "online chain must equal the reference fold"
     );
 
     println!(
-        "live_scale: {} observations from {POLES} poles -> {:.0} obs/s online \
-         vs {:.0} obs/s batch, best of 3 ({workers} workers / 16 shards / pool {}; \
-         chain {:#018x})",
+        "live_scale: {} observations from {POLES} poles -> {:.0} obs/s online, \
+         best of 3 ({workers} workers / 16 shards / pool {}; chain {:#018x})",
         striped.stats.observations,
         online_best,
-        batch_best,
         timed_pool(),
         striped.chain_fingerprint,
     );
@@ -138,17 +134,11 @@ fn bench(c: &mut Criterion) {
         &[
             ("observations", striped.stats.observations.to_string()),
             ("online_obs_per_sec", format!("{online_best:.0}")),
-            ("batch_obs_per_sec", format!("{batch_best:.0}")),
-            (
-                "online_over_batch",
-                format!("{:.3}", online_best / batch_best),
-            ),
             (
                 "chain_fingerprint",
                 format!("\"{:#018x}\"", striped.chain_fingerprint),
             ),
             ("interleaving_invariant", "true".to_string()),
-            ("totals_match_batch", "true".to_string()),
         ],
     ) {
         Ok(path) => println!("live_scale: wrote {}", path.display()),

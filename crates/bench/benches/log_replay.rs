@@ -3,15 +3,15 @@
 //! ingest run.
 //!
 //! Besides the Criterion timing, the bench pins the fingerprint triangle:
-//! the verified log replay must equal both the live engine's chain and a
-//! direct batch run's aggregates. The final log is left at
+//! the verified log replay must equal both the live engine's chain and the
+//! `caraoke_city::reference` fold of the same source. The final log is left at
 //! `target/bench-log` so CI can run `logtool verify` against a real
 //! artifact.
 //!
 //! Throughput numbers are best-of-3 (see `crates/bench/README.md`: the
 //! shared-container noise floor is around ±20% for single runs).
 
-use caraoke_city::{BatchDriver, FrameSource, StoreConfig, SyntheticCity};
+use caraoke_city::{reference, FrameSource, StoreConfig, SyntheticCity};
 use caraoke_live::{LiveCity, LiveConfig};
 use caraoke_log::{LogCity, LogOptions, LogReader, LogRecord, PaneRecord, SegmentWriter};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -115,22 +115,19 @@ fn bench(c: &mut Criterion) {
     assert_eq!(replay.chain, chain, "replay chain == live chain");
     assert_eq!(replay.totals, totals, "replay totals == live totals");
 
-    // The third side of the triangle: a direct batch run.
-    let batch = BatchDriver {
-        workers: WORKERS,
-        consumers: 2,
-        queue_capacity: 4096,
-        store: StoreConfig {
-            shards: SHARDS,
-            ..Default::default()
-        },
-    }
-    .run(&source);
-    assert_eq!(
-        batch.aggregates.fingerprint(),
-        totals.fingerprint(),
-        "batch aggregates must equal the logged run's totals"
+    // The third side of the triangle: the reference fold.
+    let oracle = reference::fold(
+        source.directory(),
+        &config().store,
+        config().pane_us,
+        &reference::reports_of(&source),
     );
+    assert_eq!(
+        oracle.totals(),
+        totals,
+        "the reference fold must equal the logged run's totals"
+    );
+    assert_eq!(oracle.chain(), chain, "the reference chain == live chain");
 
     // Pure write throughput: re-append the decoded pane records to a
     // scratch log (no sealing or ingest in the loop), best of 3.

@@ -6,7 +6,7 @@
 //! ```text
 //! experiments [all|fig4|fig8|fig11|fig12|fig13|fig14|fig15|fig16|
 //!              table-counting-prob|table-speed-bound|table-power|table-mac|
-//!              sfft|localize2|city|live|serve|chaos|scale]
+//!              sfft|localize2|live|serve|chaos|scale]
 //!              [--quick] [--full] [--jobs N]
 //! ```
 //!
@@ -208,18 +208,6 @@ fn main() {
             "{}",
             bench::format_rows(
                 "§6 two-reader localization error (paper §12.2: ~1 m median from phase-based AoA at two readers)",
-                &rows
-            )
-        );
-    }
-
-    if run("city") {
-        let (poles, epochs) = if quick { (200, 50) } else { (1_000, 250) };
-        let rows = bench::city_scale(poles, epochs, 8, 13);
-        println!(
-            "{}",
-            bench::format_rows(
-                "city-scale ingestion (ROADMAP north star: sharded multi-threaded caraoke-city pipeline; full sweep in `cargo bench --bench city_scale`)",
                 &rows
             )
         );

@@ -23,7 +23,7 @@ use caraoke::multipath::{
 use caraoke::{analyze_collision, ReaderConfig};
 use caraoke_baseline::camera::{CameraCondition, CameraCounter};
 use caraoke_baseline::naive_count::naive_counting_accuracy;
-use caraoke_city::{BatchDriver, StoreConfig, SyntheticCity};
+use caraoke_city::{reference, FrameSource, StoreConfig, SyntheticCity};
 use caraoke_dsp::{magnitude_spectrum, Summary};
 use caraoke_geom::units::CARRIER_WAVELENGTH_M;
 use caraoke_geom::Vec3;
@@ -615,69 +615,6 @@ pub fn sfft_comparison(seed: u64) -> Vec<Row> {
         .collect()
 }
 
-/// City-scale ingestion workload (ROADMAP north star): streams synthetic
-/// reader output from `n_poles` poles for `epochs` query epochs through the
-/// multi-threaded `caraoke-city` pipeline and reports throughput, plus the
-/// determinism fingerprint check across shard counts.
-pub fn city_scale(n_poles: usize, epochs: usize, workers: usize, seed: u64) -> Vec<Row> {
-    let source = SyntheticCity::new(n_poles, epochs, seed);
-    let driver = BatchDriver {
-        workers,
-        consumers: 2,
-        queue_capacity: 4096,
-        store: StoreConfig::default(),
-    };
-    let run = driver.run(&source);
-    let mut rows = vec![Row::new(
-        format!("{n_poles} poles x {epochs} epochs"),
-        vec![
-            ("observations", run.observations as f64),
-            ("obs_per_sec", run.observations_per_sec()),
-            ("distinct_tags", run.distinct_tags as f64),
-            ("speed_samples", run.aggregates.speeds.samples() as f64),
-            ("od_transitions", run.aggregates.od.total() as f64),
-            (
-                "localized_fraction",
-                run.aggregates.positions.localized_fraction(),
-            ),
-            (
-                "track_speed_samples",
-                run.aggregates.positions.track_speed_samples as f64,
-            ),
-        ],
-    )];
-    // Determinism: 1 shard vs many shards must agree byte-for-byte.
-    let single = BatchDriver {
-        workers: 1,
-        consumers: 1,
-        store: StoreConfig {
-            shards: 1,
-            ..Default::default()
-        },
-        ..driver
-    }
-    .run(&source);
-    // Hard assert (not just a reported row): the CI smoke runs this reduced
-    // and must fail loudly on a determinism regression.
-    assert_eq!(
-        single.aggregates.fingerprint(),
-        run.aggregates.fingerprint(),
-        "batch aggregates must be byte-identical across shard/worker counts"
-    );
-    rows.push(Row::new(
-        "shard invariance",
-        vec![
-            (
-                "fingerprints_match",
-                (single.aggregates.fingerprint() == run.aggregates.fingerprint()) as u64 as f64,
-            ),
-            ("p50_speed_mph", run.aggregates.speeds.percentile_mph(50.0)),
-            ("p90_speed_mph", run.aggregates.speeds.percentile_mph(90.0)),
-        ],
-    ));
-    rows
-}
-
 /// Two-reader localization error sweep (§6, §12.2): the full PHY → AoA →
 /// conic-intersection pipeline at two opposite-side readers, swept over
 /// `n_positions` car positions, reported against the paper's ~1 m median
@@ -703,11 +640,11 @@ pub fn localization_error(n_positions: usize, seed: u64) -> Vec<Row> {
     )]
 }
 
-/// Online (streaming) city ingestion workload: the same synthetic city as
-/// [`city_scale`], streamed through the watermarked `caraoke-live` engine.
-/// Reports throughput against the batch baseline, the load-shedding and
-/// alias telemetry, and the window-fingerprint invariance check across
-/// shard counts, worker counts and two arrival interleavings.
+/// Online (streaming) city ingestion workload: a synthetic city streamed
+/// through the watermarked `caraoke-live` engine. Reports throughput, the
+/// load-shedding and alias telemetry, the window-fingerprint invariance
+/// check across shard counts, worker counts and two arrival interleavings,
+/// and the check against the [`caraoke_city::reference`] fold.
 pub fn live_scale(n_poles: usize, epochs: usize, workers: usize, seed: u64) -> Vec<Row> {
     let mut source = SyntheticCity::new(n_poles, epochs, seed);
     // CFO-keyed identities at city density shares bins across tags, so the
@@ -730,19 +667,17 @@ pub fn live_scale(n_poles: usize, epochs: usize, workers: usize, seed: u64) -> V
         pace_lag_panes: None,
     };
     let run = driver(workers, 16, Interleaving::PoleStriped).run(&source);
-    let batch = BatchDriver {
-        workers,
-        consumers: 2,
-        queue_capacity: 4096,
-        store: StoreConfig::default(),
-    }
-    .run(&source);
+    let oracle = reference::fold(
+        source.directory(),
+        &StoreConfig::default(),
+        LiveConfig::default().pane_us,
+        &reference::reports_of(&source),
+    );
     let mut rows = vec![Row::new(
         format!("{n_poles} poles x {epochs} epochs (online)"),
         vec![
             ("observations", run.stats.observations as f64),
             ("obs_per_sec", run.observations_per_sec()),
-            ("batch_obs_per_sec", batch.observations_per_sec()),
             ("sealed_panes", run.stats.sealed_panes as f64),
             ("shed_reports", run.stats.shed_reports as f64),
             ("alias_upgrades", run.stats.alias.decode_upgrades as f64),
@@ -758,12 +693,12 @@ pub fn live_scale(n_poles: usize, epochs: usize, workers: usize, seed: u64) -> V
         ],
     )];
     // Determinism: 1 shard / 1 worker and a shuffled-FIFO delivery must
-    // both reproduce the window fingerprint chain, and the online totals
-    // must match the batch pipeline byte-for-byte.
+    // both reproduce the window fingerprint chain, and the chain and totals
+    // must match the reference fold byte-for-byte.
     let single = driver(1, 1, Interleaving::PoleStriped).run(&source);
     let shuffled = driver(1, 4, Interleaving::ShuffledFifo { seed: seed ^ 0xA5 }).run(&source);
     // Hard asserts for the CI smoke: interleaving invariance and live ==
-    // batch must fail the run, not just flip a reported flag.
+    // reference must fail the run, not just flip a reported flag.
     assert_eq!(
         run.chain_fingerprint, single.chain_fingerprint,
         "window chain must be invariant to shard/worker counts"
@@ -772,10 +707,10 @@ pub fn live_scale(n_poles: usize, epochs: usize, workers: usize, seed: u64) -> V
         run.chain_fingerprint, shuffled.chain_fingerprint,
         "window chain must be invariant to arrival interleaving"
     );
-    assert_eq!(
-        run.totals.fingerprint(),
-        batch.aggregates.fingerprint(),
-        "online totals must equal the batch aggregates"
+    let matches_oracle = run.totals == oracle.totals() && run.chain_fingerprint == oracle.chain();
+    assert!(
+        matches_oracle,
+        "online chain and totals must equal the reference fold"
     );
     rows.push(Row::new(
         "window invariance",
@@ -786,10 +721,7 @@ pub fn live_scale(n_poles: usize, epochs: usize, workers: usize, seed: u64) -> V
                     && run.chain_fingerprint == shuffled.chain_fingerprint) as u64
                     as f64,
             ),
-            (
-                "totals_match_batch",
-                (run.totals.fingerprint() == batch.aggregates.fingerprint()) as u64 as f64,
-            ),
+            ("matches_reference", matches_oracle as u64 as f64),
             ("p50_speed_mph", run.totals.speeds.percentile_mph(50.0)),
             ("p90_speed_mph", run.totals.speeds.percentile_mph(90.0)),
         ],
@@ -866,25 +798,17 @@ mod tests {
     }
 
     #[test]
-    fn city_scale_reports_throughput_and_shard_invariance() {
-        let rows = city_scale(64, 10, 4, 3);
-        assert_eq!(rows.len(), 2);
-        let obs = rows[0].values[0].1;
-        let throughput = rows[0].values[1].1;
-        assert!(obs > 1_000.0, "observations {obs}");
-        assert!(throughput > 0.0);
-        assert_eq!(rows[1].values[0].1, 1.0, "fingerprints must match");
-    }
-
-    #[test]
     fn live_scale_reports_online_invariance() {
         let rows = live_scale(64, 10, 4, 3);
         assert_eq!(rows.len(), 2);
         let obs = rows[0].values[0].1;
         assert!(obs > 1_000.0, "observations {obs}");
-        assert_eq!(rows[0].values[4].1, 0.0, "FIFO delivery must not shed");
+        assert_eq!(rows[0].values[3].1, 0.0, "FIFO delivery must not shed");
         assert_eq!(rows[1].values[0].1, 1.0, "window chains must match");
-        assert_eq!(rows[1].values[1].1, 1.0, "online must match batch");
+        assert_eq!(
+            rows[1].values[1].1, 1.0,
+            "online must match the reference fold"
+        );
     }
 
     #[test]

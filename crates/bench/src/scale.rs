@@ -2,7 +2,7 @@
 //!
 //! ROADMAP item 4 ("raw speed") wants throughput measured at city scale —
 //! 10k–100k poles, up to 100M observations — not just the ~1M-observation
-//! sweeps the `city_scale`/`live_scale` benches run. This module is the
+//! sweeps the `live_scale` bench runs. This module is the
 //! workload behind `experiments scale` and the `BENCH_scale.json` record:
 //! it streams a [`SyntheticCity`] through the watermarked live engine and
 //! reports observations/second plus peak RSS (from `/proc/self/status`,
@@ -27,7 +27,7 @@ pub struct ScaleConfig {
     pub workers: usize,
     /// Tracker shards.
     pub shards: usize,
-    /// Sealer tracker-pool threads (1 = serial seal path).
+    /// Sealer tracker-pool threads (1 = fold inline on the sealer thread).
     pub seal_pool: usize,
     /// Timed trials; the best (highest obs/s) is recorded.
     pub trials: usize,

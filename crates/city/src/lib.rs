@@ -13,13 +13,14 @@
 //!                     |
 //!               caraoke-sim                     streets, vehicles, poles (§11)
 //!                     |
-//!               caraoke-city  ← this crate      fleet-scale batch ingest + analytics
-//!                     |
-//!               caraoke-live                    online: watermarked ingest, windowed
-//!                                               aggregates, point-in-time queries
+//!               caraoke-city  ← this crate      wire model, tracker, aggregates,
+//!                     |                         frame sources, reference fold
+//!               caraoke-live                    the engine: watermarked ingest,
+//!                                               sealed windowed aggregates, queries
 //! ```
 //!
-//! Pipeline, left to right:
+//! This crate holds everything the engine computes *with*; the engine that
+//! computes city aggregates is `caraoke-live`. The modules:
 //!
 //! * [`event`] — the wire model: [`TagObservation`]s (tag key, AoA fix, CFO
 //!   bin, RSSI, timestamp, optional [`PositionEstimate`]) grouped into
@@ -27,24 +28,20 @@
 //! * [`position`] — the §6 `PositionSource` abstraction: method-tagged
 //!   car-position estimates (two-reader conic fix → AoA-only → pole
 //!   fallback) and the track regression the §7 speed estimator prefers.
-//! * [`queue`] — bounded ring-buffer ingestion with blocking backpressure
-//!   ([`IngestQueue::push`]) and load-shedding ([`IngestQueue::try_push`]).
-//! * [`store`] — the sharded, lock-striped in-memory store, keyed by tag and
-//!   by street segment. Its [`TagTracker`] state machine (re-sighting
+//! * [`store`] — the pole directory, shard routing, the canonical
+//!   observation order and the [`TagTracker`] state machine (re-sighting
 //!   detection, ping-pong suppression, and the §8 decode-alias upgrade of
-//!   CFO-signature keys) is shared with the online engine in `caraoke-live`.
-//! * [`aggregate`] — streaming aggregators computed incrementally on ingest:
-//!   per-street occupancy (Fig. 13), flow per traffic-light cycle (Fig. 12),
-//!   speed percentiles from position tracks (§7), the origin–destination
-//!   matrix from tag re-sightings, and per-method localization counters
+//!   CFO-signature keys) the engine runs once per tag shard.
+//! * [`aggregate`] — integer-counter aggregators: per-street occupancy
+//!   (Fig. 13), flow per traffic-light cycle (Fig. 12), speed percentiles
+//!   from position tracks (§7), the origin–destination matrix from tag
+//!   re-sightings, and per-method localization counters
 //!   ([`PositionCounters`]).
-//! * [`driver`] — the multi-threaded batch driver fanning per-pole frames
-//!   across workers and merging results deterministically under a fixed
-//!   seed.
-//! * [`synth`] / [`phy`] — frame sources: a fast synthetic city for
+//! * [`synth`] / [`phy`] — [`FrameSource`]s: a fast synthetic city for
 //!   1k–10k-pole ingestion benchmarks, and the full sim → PHY →
 //!   [`caraoke::CaraokeReader`] path for evaluation runs.
-//! * [`dashboard`] — text rendering of a run.
+//! * [`reference`](mod@reference) — a small single-threaded reference fold: the oracle the
+//!   engine's totals and window chain are tested against.
 //!
 //! Determinism is a first-class property: aggregates are integer-counter
 //! CRDTs and per-tag histories are totally ordered per shard (observations
@@ -52,7 +49,7 @@
 //! aliases it share a shard), so a fixed seed yields **byte-identical**
 //! aggregates for any shard count, worker count, or delivery order.
 //! `CityAggregates::fingerprint` pins this in the test suite, and
-//! `caraoke-live` extends the same contract to watermark-sealed windows.
+//! `caraoke-live` seals it into a fingerprint chain over its windows.
 
 // `deny`, not `forbid`: the tracker's state table carries one documented
 // `#[allow(unsafe_code)]` for the `_mm_prefetch` cache hint on its lookup
@@ -62,25 +59,21 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
-pub mod dashboard;
-pub mod driver;
 pub mod event;
 pub mod phy;
 pub mod position;
-pub mod queue;
+pub mod reference;
 pub mod store;
 pub mod synth;
 
 pub use aggregate::{
     CityAggregates, FlowCounter, OdMatrix, PositionCounters, SegmentStats, SpeedHistogram,
 };
-pub use driver::{BatchDriver, CityRun, FrameSource};
 pub use event::{PoleId, PoleReport, SegmentId, TagKey, TagObservation};
 pub use phy::PhyCity;
 pub use position::{PolePositionSource, PositionEstimate, PositionMethod, PositionSource};
-pub use queue::{IngestQueue, PushError, QueueStats};
 pub use store::{
-    AliasStats, DerivedEvent, PoleDirectory, PoleSite, ShardedStore, SpeedSource, StoreConfig,
-    TagRecord, TagTracker, TrackerDelta,
+    AliasStats, DerivedEvent, PoleDirectory, PoleSite, SpeedSource, StoreConfig, TagRecord,
+    TagTracker, TrackerDelta,
 };
-pub use synth::SyntheticCity;
+pub use synth::{FrameSource, SyntheticCity};

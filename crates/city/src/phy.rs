@@ -26,11 +26,11 @@
 //! counters in [`crate::aggregate::PositionCounters`] expose exactly how
 //! often each rung of the ladder fired.
 
-use crate::driver::FrameSource;
 use crate::event::{PoleId, PoleReport, SegmentId};
 use crate::position::PositionEstimate;
 use crate::store::{PoleDirectory, PoleSite};
 use crate::synth::mix_seed;
+use crate::synth::FrameSource;
 use caraoke::localization::AoaEstimate;
 use caraoke::QueryReport;
 use caraoke_geom::localize::RoadRegion;

@@ -164,7 +164,7 @@ pub fn track_speed_mps(track: &[(u64, f64, f64)]) -> Option<f64> {
         return None;
     }
     let n = track.len() as f64;
-    // Anchor deltas at the *minimum* timestamp: repeated batch finalizes
+    // Anchor deltas at the *minimum* timestamp: separate apply batches
     // can append late fixes out of order, and `u64` deltas from the first
     // element would underflow on such a track.
     let t0 = track.iter().map(|&(t, _, _)| t).min().expect("non-empty");
@@ -276,7 +276,7 @@ mod tests {
 
     #[test]
     fn unsorted_tracks_regress_without_underflow() {
-        // Late fixes from a previous finalize batch can land out of time
+        // Late fixes from a previous apply batch can land out of time
         // order; the fit must not underflow u64 deltas and must match the
         // sorted answer bit for bit only up to summation order — so pin the
         // value loosely and the sorted equivalence tightly.

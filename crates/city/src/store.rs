@@ -1,40 +1,31 @@
-//! The sharded, lock-striped in-memory store.
+//! The pole directory, tag-shard routing, the canonical observation order,
+//! and the per-tag [`TagTracker`] state machine.
 //!
-//! Observations are keyed two ways, mirroring the two query patterns of the
-//! analytics tier:
+//! Per-tag state is partitioned into **tag shards** by CFO bin
+//! ([`shard_of_bin`]), so a tag's whole history — including the decoded-id
+//! observations that alias its CFO-signature key (§8) — meets one tracker
+//! and is totally ordered no matter how many shards or ingest threads are
+//! configured.
 //!
-//! * **by tag** — tag shards hold per-tag sighting state (last pole, last
-//!   time), from which the re-sighting analytics (speed samples, OD
-//!   transitions, flow events) are derived. Observations are routed to
-//!   shards by **CFO bin**, so a tag's whole history — including the
-//!   decoded-id observations that alias its CFO-signature key (§8) — lands
-//!   on one shard and is totally ordered no matter how many shards or ingest
-//!   threads are configured.
-//! * **by street segment** — report-level occupancy counters live in a
-//!   separate set of lock stripes keyed by segment.
+//! The [`TagTracker`] consumes one shard's observations in canonical order
+//! ([`canonical_obs_key`]) and emits [`DerivedEvent`]s (flow, OD
+//! transition, speed sample) which the caller folds into whichever
+//! aggregate state it keeps — watermark-sealed window panes in the online
+//! engine (`caraoke-live`), per-pane
+//! [`CityAggregates`](crate::CityAggregates) in the
+//! [`crate::reference`] fold that tests check the engine against.
 //!
-//! The per-tag transition state machine lives in [`TagTracker`], shared with
-//! the online engine in `caraoke-live`: it consumes observations in
-//! canonical order and emits [`DerivedEvent`]s (flow, OD transition, speed
-//! sample) which the caller folds into whichever aggregate state it keeps —
-//! whole-run [`CityAggregates`] here, window-keyed panes in the live layer.
-//!
-//! Determinism contract: scatter order is arbitrary (any thread may deliver
-//! any report), but [`ShardedStore::finalize`] sorts each shard's buffered
-//! observations by `(timestamp, pole, tag)` before applying them, and every
-//! aggregator is an integer CRDT-style counter (see [`crate::aggregate`]).
-//! The final [`CityAggregates`] is therefore byte-identical for any shard
-//! count, worker count, or delivery order — the property the
-//! shard-invariance tests pin.
+//! Determinism contract: every aggregator is an integer CRDT-style counter
+//! (see [`crate::aggregate`]) and each shard's observations apply in the
+//! canonical `(timestamp, pole, tag, cfo_bin)` order, so the aggregates are
+//! byte-identical for any shard count, worker count, or delivery order —
+//! the property the shard-invariance tests pin.
 
-use crate::aggregate::{CityAggregates, SegmentStats};
-use crate::event::{PoleId, PoleReport, SegmentId, TagKey, TagObservation};
-use crate::position::{resolve_position, track_speed_mps, PositionMethod};
+use crate::event::{PoleId, SegmentId, TagKey, TagObservation};
+use crate::position::{track_speed_mps, PositionMethod};
 use caraoke_geom::Vec3;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::hash::BuildHasherDefault;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Deterministic multiply-mix hasher for the tracker's `u64` keys.
 ///
@@ -124,10 +115,8 @@ impl PoleDirectory {
 /// Tuning knobs for the re-sighting analytics.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StoreConfig {
-    /// Number of tag shards (lock stripes for per-tag state).
+    /// Number of tag shards (independent per-tag tracker partitions).
     pub shards: usize,
-    /// Number of lock stripes for per-segment counters.
-    pub segment_stripes: usize,
     /// Traffic-light cycle length used to bucket flow events, µs (Fig. 12
     /// uses 90 s cycles; 60 s is a common default).
     pub light_cycle_us: u64,
@@ -147,7 +136,6 @@ impl Default for StoreConfig {
     fn default() -> Self {
         Self {
             shards: 8,
-            segment_stripes: 8,
             light_cycle_us: 60_000_000,
             max_speed_gap_us: 120_000_000,
             min_speed_gap_us: 200_000,
@@ -265,8 +253,8 @@ impl TagState {
 /// The tracker owns the *ordering-sensitive* logic (re-sighting detection,
 /// ping-pong suppression, alias upgrades); folding the emitted events into
 /// counters is order-free, so callers may key them however they like —
-/// whole-run aggregates in the batch store, watermark-sealed window panes in
-/// the live engine.
+/// watermark-sealed window panes in the live engine, per-pane aggregates
+/// in the reference fold.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DerivedEvent {
     /// A tag entered a `(segment, light cycle)` bucket it was not in before
@@ -631,8 +619,8 @@ impl TagTracker {
                         // the pole spacing when both poles share a
                         // coverage radius — when the track is too thin.
                         let (window, n) = state.track_window(state.arrival_us, obs.timestamp_us);
-                        // Span via min/max, not first/last: late fixes from a
-                        // previous finalize batch can sit out of order in the
+                        // Span via min/max, not first/last: a late fix
+                        // applied after a newer one sits out of order in the
                         // ring, and a positional difference would underflow.
                         let track_span = if n >= 2 {
                             let min = window[..n].iter().map(|p| p.0).min().expect("n >= 2");
@@ -1028,26 +1016,6 @@ impl TagStateMap {
     }
 }
 
-/// One lock stripe of the by-tag store.
-#[derive(Debug, Default)]
-struct TagShard {
-    /// Observations buffered by scatter, applied (sorted) by finalize.
-    pending: Vec<TagObservation>,
-    /// The shard's per-tag state machine, built during apply.
-    tracker: TagTracker,
-    /// Aggregates derived from this shard's tags.
-    agg: CityAggregates,
-}
-
-/// The city's sharded in-memory store.
-pub struct ShardedStore {
-    tag_shards: Vec<Mutex<TagShard>>,
-    segment_stripes: Vec<Mutex<BTreeMap<u16, SegmentStats>>>,
-    directory: PoleDirectory,
-    config: StoreConfig,
-    report_count: AtomicU64,
-}
-
 /// Fibonacci hash spreading CFO bins across shards. Routing by bin (rather
 /// than by tag key) keeps a CFO-signature key and the decoded key that
 /// aliases it (§4: a tag's CFO is stable to within a bin) on the same shard,
@@ -1057,8 +1025,8 @@ pub fn shard_of_bin(cfo_bin: u32, shards: usize) -> usize {
 }
 
 /// The canonical per-shard observation order — `(timestamp, pole, tag,
-/// cfo_bin)` — shared by the batch store's sort-at-finalize and the live
-/// engine's pane sealing, so both tiers run the [`TagTracker`] state machine
+/// cfo_bin)` — shared by the live engine's pane sealing and the
+/// [`crate::reference`] fold, so both run the [`TagTracker`] state machine
 /// over the exact same sequence. The key was extended with the CFO bin for
 /// the `PositionSource` refactor: observations now carry per-sighting
 /// position estimates, so two same-tag spikes in one report must order by a
@@ -1070,163 +1038,12 @@ pub fn canonical_obs_key(obs: &TagObservation) -> (u64, u32, u64, u32) {
     (obs.timestamp_us, obs.pole.0, obs.tag.0, obs.cfo_bin)
 }
 
-impl ShardedStore {
-    /// Creates a store over the given deployment.
-    pub fn new(directory: PoleDirectory, config: StoreConfig) -> Self {
-        let shards = config.shards.max(1);
-        let stripes = config.segment_stripes.max(1);
-        Self {
-            tag_shards: (0..shards)
-                .map(|_| Mutex::new(TagShard::default()))
-                .collect(),
-            segment_stripes: (0..stripes).map(|_| Mutex::new(BTreeMap::new())).collect(),
-            directory,
-            config,
-            report_count: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of tag shards.
-    pub fn shards(&self) -> usize {
-        self.tag_shards.len()
-    }
-
-    /// The deployment directory.
-    pub fn directory(&self) -> &PoleDirectory {
-        &self.directory
-    }
-
-    /// Scatters one pole report into the store: report-level counters go to
-    /// the segment stripe, per-tag observations are buffered on their tag's
-    /// shard. Safe to call from many ingest threads at once.
-    pub fn scatter(&self, report: &PoleReport) {
-        let multi = report
-            .observations
-            .iter()
-            .filter(|o| o.multi_occupied)
-            .count() as u32;
-        {
-            let stripe = report.segment.0 as usize % self.segment_stripes.len();
-            let mut seg = self.segment_stripes[stripe].lock().expect("segment stripe");
-            seg.entry(report.segment.0).or_default().record_report(
-                report.count,
-                report.observations.len() as u32,
-                multi,
-            );
-        }
-        // Group this report's observations by shard so each shard lock is
-        // taken once per report, not once per observation (scatter is the
-        // hot ingest path).
-        let n_shards = self.tag_shards.len();
-        let mut by_shard: Vec<(usize, &TagObservation)> = report
-            .observations
-            .iter()
-            .map(|o| (shard_of_bin(o.cfo_bin, n_shards), o))
-            .collect();
-        by_shard.sort_unstable_by_key(|(s, _)| *s);
-        let mut i = 0;
-        while i < by_shard.len() {
-            let shard = by_shard[i].0;
-            let mut guard = self.tag_shards[shard].lock().expect("tag shard");
-            while i < by_shard.len() && by_shard[i].0 == shard {
-                guard.pending.push(*by_shard[i].1);
-                i += 1;
-            }
-        }
-        self.report_count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Applies one shard's buffered observations in canonical order. Called
-    /// by `finalize`, possibly from several worker threads (one per shard).
-    fn apply_shard(&self, shard: &mut TagShard) {
-        let mut pending = std::mem::take(&mut shard.pending);
-        pending.sort_by_key(canonical_obs_key);
-        let TagShard { tracker, agg, .. } = shard;
-        let CityAggregates {
-            flow,
-            speeds,
-            od,
-            positions,
-            observations,
-            ..
-        } = agg;
-        for obs in pending {
-            *observations += 1;
-            let resolved = resolve_position(&obs, self.directory.site(obs.pole));
-            positions.record_method(resolved.method, resolved.sigma_m());
-            tracker.apply(&obs, &self.directory, &self.config, |event| match event {
-                DerivedEvent::Flow { segment, cycle } => flow.record(segment, cycle),
-                DerivedEvent::Od { from, to } => od.record(from, to),
-                DerivedEvent::Speed { mph, source } => {
-                    speeds.record(mph);
-                    match source {
-                        SpeedSource::PositionTrack => positions.track_speed_samples += 1,
-                        SpeedSource::ArrivalTime => positions.arrival_speed_samples += 1,
-                    }
-                }
-            });
-        }
-    }
-
-    /// Applies every shard's buffered observations (in parallel across up to
-    /// `workers` threads) and merges all shard and segment state into one
-    /// [`CityAggregates`]. Deterministic for any `workers` / shard count.
-    pub fn finalize(&self, workers: usize) -> CityAggregates {
-        let workers = workers.max(1).min(self.tag_shards.len());
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let shards = &self.tag_shards;
-                scope.spawn(move || {
-                    for shard in shards.iter().skip(w).step_by(workers) {
-                        let mut guard = shard.lock().expect("tag shard");
-                        self.apply_shard(&mut guard);
-                    }
-                });
-            }
-        });
-        let mut out = CityAggregates::new();
-        for shard in &self.tag_shards {
-            out.merge(&shard.lock().expect("tag shard").agg);
-        }
-        for stripe in &self.segment_stripes {
-            for (&seg, stats) in stripe.lock().expect("segment stripe").iter() {
-                out.segments.entry(seg).or_default().merge(stats);
-            }
-        }
-        out
-    }
-
-    /// Number of distinct tags tracked (after `finalize`). Decoded-key
-    /// aliases count once: a CFO signature upgraded to its decoded id is one
-    /// tag, not two.
-    pub fn distinct_tags(&self) -> usize {
-        self.tag_shards
-            .iter()
-            .map(|s| s.lock().expect("tag shard").tracker.distinct_tags())
-            .sum()
-    }
-
-    /// Alias-upgrade counters summed over all shards (after `finalize`):
-    /// how often CFO-signature keys were upgraded to decoded keys, how often
-    /// the alias resolved later observations, and how often decodes collided
-    /// on a shared CFO bin.
-    pub fn alias_stats(&self) -> AliasStats {
-        let mut out = AliasStats::default();
-        for shard in &self.tag_shards {
-            out.merge(&shard.lock().expect("tag shard").tracker.alias_stats());
-        }
-        out
-    }
-
-    /// Number of pole reports scattered so far.
-    pub fn reports(&self) -> u64 {
-        self.report_count.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::CityAggregates;
+    use crate::event::PoleReport;
+    use crate::reference::ReferenceRun;
 
     fn line_directory(n: usize, spacing: f64) -> PoleDirectory {
         PoleDirectory::new(
@@ -1267,14 +1084,21 @@ mod tests {
         }
     }
 
+    /// Folds `reports` through the reference fold (1 s panes) — the same
+    /// tracker routing and canonical order the engine seals with.
+    fn fold(dir: PoleDirectory, config: StoreConfig, reports: &[PoleReport]) -> ReferenceRun {
+        crate::reference::fold(&dir, &config, 1_000_000, reports)
+    }
+
     #[test]
     fn resighting_produces_one_speed_sample_and_od_transition() {
-        let dir = line_directory(4, 30.0);
-        let store = ShardedStore::new(dir, StoreConfig::default());
         // Tag 9 heard at pole 0, then 30 m downstream 2 s later: 15 m/s.
-        store.scatter(&report(0, 0, 0, vec![obs(9, 0, 0, 0)]));
-        store.scatter(&report(1, 0, 2_000_000, vec![obs(9, 1, 0, 2_000_000)]));
-        let agg = store.finalize(2);
+        let reports = [
+            report(0, 0, 0, vec![obs(9, 0, 0, 0)]),
+            report(1, 0, 2_000_000, vec![obs(9, 1, 0, 2_000_000)]),
+        ];
+        let run = fold(line_directory(4, 30.0), StoreConfig::default(), &reports);
+        let agg = run.totals();
         assert_eq!(agg.observations, 2);
         assert_eq!(agg.od.total(), 1);
         assert_eq!(agg.speeds.samples(), 1);
@@ -1283,8 +1107,8 @@ mod tests {
             (mph - caraoke_geom::mps_to_mph(15.0)).abs() < 0.02,
             "got {mph}"
         );
-        assert_eq!(store.distinct_tags(), 1);
-        assert_eq!(store.reports(), 2);
+        assert_eq!(run.distinct_tags(), 1);
+        assert_eq!(agg.segments[&0].reports, 2);
     }
 
     #[test]
@@ -1355,18 +1179,19 @@ mod tests {
         // A car in the overlap of two poles' coverage is reported by both
         // every epoch; only the first A->B hand-off counts, and the speed
         // comes from arrival-to-arrival timing, not the bounce cadence.
-        let store = ShardedStore::new(line_directory(3, 24.0), StoreConfig::default());
         // Heard at pole 0 from t=0; enters pole 1 coverage at t=2s; both
         // keep reporting it every second until t=5s.
-        store.scatter(&report(0, 0, 0, vec![obs(7, 0, 0, 0)]));
-        store.scatter(&report(0, 0, 1_000_000, vec![obs(7, 0, 0, 1_000_000)]));
+        let mut reports = vec![
+            report(0, 0, 0, vec![obs(7, 0, 0, 0)]),
+            report(0, 0, 1_000_000, vec![obs(7, 0, 0, 1_000_000)]),
+        ];
         for t in [2_000_000u64, 3_000_000, 4_000_000, 5_000_000] {
-            store.scatter(&report(0, 0, t, vec![obs(7, 0, 0, t)]));
-            store.scatter(&report(1, 0, t, vec![obs(7, 1, 0, t)]));
+            reports.push(report(0, 0, t, vec![obs(7, 0, 0, t)]));
+            reports.push(report(1, 0, t, vec![obs(7, 1, 0, t)]));
         }
         // Then it leaves pole 0 behind and reaches pole 2 at t=6s.
-        store.scatter(&report(2, 0, 6_000_000, vec![obs(7, 2, 0, 6_000_000)]));
-        let agg = store.finalize(2);
+        reports.push(report(2, 0, 6_000_000, vec![obs(7, 2, 0, 6_000_000)]));
+        let agg = fold(line_directory(3, 24.0), StoreConfig::default(), &reports).totals();
         // Exactly two transitions (0->1 and 1->2), not one per bounce.
         assert_eq!(agg.od.total(), 2);
         assert_eq!(agg.od.transitions.get(&(0, 1)), Some(&1));
@@ -1385,13 +1210,13 @@ mod tests {
         // three 60 s light cycles. Flow must count it once per segment per
         // cycle — not once per bounce, and not only in the first-sorted
         // segment after a cycle rollover.
-        let store = ShardedStore::new(line_directory(8, 24.0), StoreConfig::default());
+        let mut reports = Vec::new();
         for t in 0..130u64 {
             let t_us = t * 1_000_000;
-            store.scatter(&report(3, 0, t_us, vec![obs(11, 3, 0, t_us)]));
-            store.scatter(&report(4, 1, t_us, vec![obs(11, 4, 1, t_us)]));
+            reports.push(report(3, 0, t_us, vec![obs(11, 3, 0, t_us)]));
+            reports.push(report(4, 1, t_us, vec![obs(11, 4, 1, t_us)]));
         }
-        let agg = store.finalize(2);
+        let agg = fold(line_directory(8, 24.0), StoreConfig::default(), &reports).totals();
         // Three cycles x two segments, one event each.
         assert_eq!(agg.flow.total(), 6, "flow events: {:?}", agg.flow.per_cycle);
         for seg in 0..2u16 {
@@ -1409,10 +1234,11 @@ mod tests {
 
     #[test]
     fn same_pole_resighting_is_not_a_transition() {
-        let store = ShardedStore::new(line_directory(2, 25.0), StoreConfig::default());
-        store.scatter(&report(0, 0, 0, vec![obs(5, 0, 0, 0)]));
-        store.scatter(&report(0, 0, 1_500_000, vec![obs(5, 0, 0, 1_500_000)]));
-        let agg = store.finalize(1);
+        let reports = [
+            report(0, 0, 0, vec![obs(5, 0, 0, 0)]),
+            report(0, 0, 1_500_000, vec![obs(5, 0, 0, 1_500_000)]),
+        ];
+        let agg = fold(line_directory(2, 25.0), StoreConfig::default(), &reports).totals();
         assert_eq!(agg.od.total(), 0);
         assert_eq!(agg.speeds.samples(), 0);
         assert_eq!(agg.observations, 2);
@@ -1424,22 +1250,24 @@ mod tests {
             max_speed_gap_us: 10_000_000,
             ..Default::default()
         };
-        let store = ShardedStore::new(line_directory(3, 40.0), config);
-        store.scatter(&report(0, 0, 0, vec![obs(3, 0, 0, 0)]));
-        // Re-sighted 100 s later: a different trip.
-        store.scatter(&report(2, 0, 100_000_000, vec![obs(3, 2, 0, 100_000_000)]));
-        let agg = store.finalize(1);
+        let reports = [
+            report(0, 0, 0, vec![obs(3, 0, 0, 0)]),
+            // Re-sighted 100 s later: a different trip.
+            report(2, 0, 100_000_000, vec![obs(3, 2, 0, 100_000_000)]),
+        ];
+        let agg = fold(line_directory(3, 40.0), config, &reports).totals();
         assert_eq!(agg.od.total(), 1);
         assert_eq!(agg.speeds.samples(), 0);
     }
 
     #[test]
     fn segment_counters_fold_report_headlines() {
-        let store = ShardedStore::new(line_directory(8, 30.0), StoreConfig::default());
-        store.scatter(&report(0, 0, 0, vec![obs(1, 0, 0, 0), obs(2, 0, 0, 0)]));
-        store.scatter(&report(4, 1, 0, vec![obs(3, 4, 1, 0)]));
-        store.scatter(&report(5, 1, 1_000_000, vec![]));
-        let agg = store.finalize(4);
+        let reports = [
+            report(0, 0, 0, vec![obs(1, 0, 0, 0), obs(2, 0, 0, 0)]),
+            report(4, 1, 0, vec![obs(3, 4, 1, 0)]),
+            report(5, 1, 1_000_000, vec![]),
+        ];
+        let agg = fold(line_directory(8, 30.0), StoreConfig::default(), &reports).totals();
         assert_eq!(agg.segments[&0].reports, 1);
         assert_eq!(agg.segments[&0].sum_count, 2);
         assert_eq!(agg.segments[&1].reports, 2);
@@ -1452,16 +1280,15 @@ mod tests {
         // Poles 30 m apart, but the *car* really moves 13 m/s (the pole
         // spacing would fake 15 m/s via arrival deltas). Position fixes
         // every second pin the true speed.
-        let dir = line_directory(4, 30.0);
-        let store = ShardedStore::new(dir, StoreConfig::default());
+        let mut reports = Vec::new();
         for t in 0..5u64 {
             let t_us = t * 1_000_000;
             let pole = if t < 2 { 0 } else { 1 };
             let mut o = obs(9, pole, 0, t_us);
             o.position = Some(PositionEstimate::two_reader(13.0 * t as f64, -1.5, 1.0));
-            store.scatter(&report(pole, 0, t_us, vec![o]));
+            reports.push(report(pole, 0, t_us, vec![o]));
         }
-        let agg = store.finalize(2);
+        let agg = fold(line_directory(4, 30.0), StoreConfig::default(), &reports).totals();
         assert_eq!(agg.od.total(), 1);
         assert_eq!(agg.speeds.samples(), 1);
         let mph = agg.speeds.mean_mph();
@@ -1481,10 +1308,11 @@ mod tests {
         // The exact pre-refactor behaviour, now method-tagged: no estimates
         // anywhere, so the speed comes from the pole-spacing arrival delta
         // and every observation counts as a pole fallback.
-        let store = ShardedStore::new(line_directory(4, 30.0), StoreConfig::default());
-        store.scatter(&report(0, 0, 0, vec![obs(9, 0, 0, 0)]));
-        store.scatter(&report(1, 0, 2_000_000, vec![obs(9, 1, 0, 2_000_000)]));
-        let agg = store.finalize(1);
+        let reports = [
+            report(0, 0, 0, vec![obs(9, 0, 0, 0)]),
+            report(1, 0, 2_000_000, vec![obs(9, 1, 0, 2_000_000)]),
+        ];
+        let agg = fold(line_directory(4, 30.0), StoreConfig::default(), &reports).totals();
         assert_eq!(agg.speeds.samples(), 1);
         assert!((agg.speeds.mean_mph() - caraoke_geom::mps_to_mph(15.0)).abs() < 0.02);
         assert_eq!(agg.positions.arrival_speed_samples, 1);
@@ -1500,36 +1328,30 @@ mod tests {
     #[test]
     fn out_of_order_fixes_across_finalize_batches_do_not_underflow() {
         use crate::position::PositionEstimate;
-        // The batch store sorts within each finalize batch only: a second
+        // Canonical order holds within one apply batch only: a second
         // batch may apply an *older* fix after a newer one, leaving the
         // per-tag track ring out of time order. The next transition must
         // still regress (or fall back) without panicking.
-        let store = ShardedStore::new(line_directory(4, 30.0), StoreConfig::default());
+        let dir = line_directory(4, 30.0);
+        let config = StoreConfig::default();
+        let mut tracker = TagTracker::new();
+        let mut agg = CityAggregates::new();
         let fix_obs = |tag, pole, t_us: u64, x: f64| {
             let mut o = obs(tag, pole, 0, t_us);
             o.position = Some(PositionEstimate::two_reader(x, -1.5, 1.0));
             o
         };
+        let mut apply = |o: TagObservation| {
+            crate::reference::fold_into(&mut agg, &mut tracker, &o, &dir, &config)
+        };
         // Batch 1: first heard (no fix) at t = 5 s, then a fix at t = 6 s.
-        store.scatter(&report(0, 0, 5_000_000, vec![obs(3, 0, 0, 5_000_000)]));
-        store.scatter(&report(
-            0,
-            0,
-            6_000_000,
-            vec![fix_obs(3, 0, 6_000_000, 60.0)],
-        ));
-        store.finalize(1);
+        apply(obs(3, 0, 0, 5_000_000));
+        apply(fix_obs(3, 0, 6_000_000, 60.0));
         // Batch 2: an *older* in-window fix (t = 5.5 s) lands after the
         // 6 s one, then a fix-less re-sighting at the next pole triggers
         // the speed path over the now out-of-order track [(6 s), (5.5 s)].
-        store.scatter(&report(
-            0,
-            0,
-            5_500_000,
-            vec![fix_obs(3, 0, 5_500_000, 55.0)],
-        ));
-        store.scatter(&report(1, 0, 7_000_000, vec![obs(3, 1, 0, 7_000_000)]));
-        let agg = store.finalize(1);
+        apply(fix_obs(3, 0, 5_500_000, 55.0));
+        apply(obs(3, 1, 0, 7_000_000));
         assert_eq!(agg.observations, 4);
         assert_eq!(agg.speeds.samples(), 1);
         // Both fixes lie on x(t) = 10 m/s regardless of arrival order.
@@ -1546,12 +1368,13 @@ mod tests {
         use crate::position::PositionEstimate;
         // Only the final observation carries a fix: one point is no track,
         // so the estimator must use the arrival delta — and tag it.
-        let store = ShardedStore::new(line_directory(4, 30.0), StoreConfig::default());
-        store.scatter(&report(0, 0, 0, vec![obs(5, 0, 0, 0)]));
         let mut last = obs(5, 1, 0, 2_000_000);
         last.position = Some(PositionEstimate::two_reader(30.0, -1.5, 1.0));
-        store.scatter(&report(1, 0, 2_000_000, vec![last]));
-        let agg = store.finalize(1);
+        let reports = [
+            report(0, 0, 0, vec![obs(5, 0, 0, 0)]),
+            report(1, 0, 2_000_000, vec![last]),
+        ];
+        let agg = fold(line_directory(4, 30.0), StoreConfig::default(), &reports).totals();
         assert_eq!(agg.speeds.samples(), 1);
         assert_eq!(agg.positions.arrival_speed_samples, 1);
         assert_eq!(agg.positions.track_speed_samples, 0);
@@ -1562,30 +1385,27 @@ mod tests {
     #[test]
     fn first_decode_upgrades_the_cfo_key_and_keeps_the_history() {
         use caraoke_phy::TransponderId;
-        let store = ShardedStore::new(line_directory(4, 30.0), StoreConfig::default());
         // Tag tracked under its CFO-signature key at pole 0...
         let cfo_key = TagKey::from_cfo_bin(41).0;
-        store.scatter(&report(0, 0, 0, vec![obs(cfo_key, 0, 0, 0)]));
         // ...then decoded at pole 1 two seconds later. Same CFO bin, so both
         // observations land on the same shard and the history migrates.
         let mut decoded_obs = obs(cfo_key, 1, 0, 2_000_000);
         decoded_obs.decoded = Some(TransponderId(900));
-        store.scatter(&report(1, 0, 2_000_000, vec![decoded_obs]));
-        // Later sightings carry only the CFO signature again; the alias
-        // resolves them onto the decoded identity.
-        store.scatter(&report(
-            2,
-            0,
-            4_000_000,
-            vec![obs(cfo_key, 2, 0, 4_000_000)],
-        ));
-        let agg = store.finalize(2);
+        let reports = [
+            report(0, 0, 0, vec![obs(cfo_key, 0, 0, 0)]),
+            report(1, 0, 2_000_000, vec![decoded_obs]),
+            // Later sightings carry only the CFO signature again; the alias
+            // resolves them onto the decoded identity.
+            report(2, 0, 4_000_000, vec![obs(cfo_key, 2, 0, 4_000_000)]),
+        ];
+        let run = fold(line_directory(4, 30.0), StoreConfig::default(), &reports);
+        let agg = run.totals();
         // One tag throughout: history continuity means the pole 0 -> 1 -> 2
         // walk produces two OD transitions and two speed samples.
-        assert_eq!(store.distinct_tags(), 1, "alias must not split the tag");
+        assert_eq!(run.distinct_tags(), 1, "alias must not split the tag");
         assert_eq!(agg.od.total(), 2);
         assert_eq!(agg.speeds.samples(), 2);
-        let stats = store.alias_stats();
+        let stats = run.alias_stats();
         assert_eq!(stats.decode_upgrades, 1);
         assert_eq!(stats.alias_hits, 1);
         assert_eq!(stats.alias_collisions, 0);
@@ -1595,7 +1415,6 @@ mod tests {
     #[test]
     fn shared_bin_decodes_count_alias_collisions() {
         use caraoke_phy::TransponderId;
-        let store = ShardedStore::new(line_directory(4, 30.0), StoreConfig::default());
         let cfo_key = TagKey::from_cfo_bin(88).0;
         // Two different transponders decode out of the same CFO bin (the §5
         // shared-bin regime at high tag density).
@@ -1603,15 +1422,17 @@ mod tests {
         first.decoded = Some(TransponderId(1));
         let mut second = obs(cfo_key, 0, 0, 1_000_000);
         second.decoded = Some(TransponderId(2));
-        store.scatter(&report(0, 0, 0, vec![first]));
-        store.scatter(&report(0, 0, 1_000_000, vec![second]));
-        store.finalize(1);
-        let stats = store.alias_stats();
+        let reports = [
+            report(0, 0, 0, vec![first]),
+            report(0, 0, 1_000_000, vec![second]),
+        ];
+        let run = fold(line_directory(4, 30.0), StoreConfig::default(), &reports);
+        let stats = run.alias_stats();
         assert_eq!(stats.decode_upgrades, 1, "first decode claims the bin");
         assert_eq!(stats.alias_collisions, 1, "second decode collides");
         assert_eq!(stats.collision_rate(), 1.0);
         // Both decoded identities are tracked in their own right.
-        assert_eq!(store.distinct_tags(), 2);
+        assert_eq!(run.distinct_tags(), 2);
     }
 
     #[test]
@@ -1620,17 +1441,18 @@ mod tests {
         // 3 (90 m apart) simultaneously. The interleaved sightings look like
         // a single tag teleporting back and forth; ping-pong suppression and
         // the plausibility cut must keep the derived analytics sane.
-        let store = ShardedStore::new(line_directory(4, 30.0), StoreConfig::default());
-        for &(pole, t_us) in &[
+        let reports: Vec<PoleReport> = [
             (0u32, 0u64),
             (3, 500_000),
             (0, 1_000_000),
             (3, 1_500_000),
             (0, 2_000_000),
-        ] {
-            store.scatter(&report(pole, 0, t_us, vec![obs(13, pole, 0, t_us)]));
-        }
-        let agg = store.finalize(2);
+        ]
+        .iter()
+        .map(|&(pole, t_us)| report(pole, 0, t_us, vec![obs(13, pole, 0, t_us)]))
+        .collect();
+        let run = fold(line_directory(4, 30.0), StoreConfig::default(), &reports);
+        let agg = run.totals();
         assert_eq!(agg.observations, 5);
         // Only the first 0 -> 3 transition counts: every bounce back to the
         // previous pole is ping-pong-suppressed, so the clone pair cannot
@@ -1639,7 +1461,7 @@ mod tests {
         // 90 m in 0.5 s is ~400 mph: the plausibility cut discards every
         // clone-induced teleport, so no speed sample survives.
         assert_eq!(agg.speeds.samples(), 0, "teleport speeds must be culled");
-        assert_eq!(store.distinct_tags(), 1);
+        assert_eq!(run.distinct_tags(), 1);
     }
 
     #[test]
@@ -1712,15 +1534,13 @@ mod tests {
         for &(shards, rotate) in &[(1usize, 0usize), (2, 17), (5, 3), (8, 101), (32, 59)] {
             let config = StoreConfig {
                 shards,
-                segment_stripes: 1 + shards / 2,
                 ..Default::default()
             };
-            let store = ShardedStore::new(line_directory(12, 30.0), config);
             // Deliver in a different order each time.
-            for i in 0..reports.len() {
-                store.scatter(&reports[(i + rotate) % reports.len()]);
-            }
-            let agg = store.finalize(shards.min(4));
+            let rotated: Vec<PoleReport> = (0..reports.len())
+                .map(|i| reports[(i + rotate) % reports.len()].clone())
+                .collect();
+            let agg = fold(line_directory(12, 30.0), config, &rotated).totals();
             fingerprints.push((agg.fingerprint(), agg.observations, agg.speeds.samples()));
         }
         for pair in fingerprints.windows(2) {

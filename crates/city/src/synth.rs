@@ -12,9 +12,8 @@
 //!
 //! Every quantity is derived from `(seed, pole, epoch)` via [`mix_seed`], so
 //! any thread may generate any frame and the result is identical — the
-//! contract [`crate::driver::FrameSource`] requires.
+//! contract [`FrameSource`] requires.
 
-use crate::driver::FrameSource;
 use crate::event::{PoleId, PoleReport, SegmentId, TagKey, TagObservation};
 use crate::position::PositionEstimate;
 use crate::store::{PoleDirectory, PoleSite};
@@ -22,6 +21,27 @@ use caraoke_geom::Vec3;
 use caraoke_phy::TransponderId;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+
+/// A deterministic generator of per-pole, per-epoch reader frames — what
+/// the online driver (`caraoke_live::LiveDriver`) streams and the reference
+/// fold ([`crate::reference`]) folds.
+///
+/// Implementations must return the same [`PoleReport`] for the same
+/// `(pole, epoch)` regardless of call order or calling thread — derive any
+/// randomness from a seed mixed with both indices (see [`mix_seed`]).
+pub trait FrameSource: Sync {
+    /// The deployment's pole directory.
+    fn directory(&self) -> &PoleDirectory;
+
+    /// Number of query epochs to run.
+    fn epochs(&self) -> usize;
+
+    /// Wall-clock duration of one epoch, µs.
+    fn epoch_us(&self) -> u64;
+
+    /// Produces the report of `pole` for `epoch`.
+    fn report(&self, pole: u32, epoch: usize) -> PoleReport;
+}
 
 /// Key space offsets keeping the three traffic classes distinct.
 const THROUGH_BASE: u64 = 1 << 40;

@@ -1,8 +1,7 @@
 //! The online driver: streams a [`FrameSource`] through a [`LiveCity`].
 //!
-//! The batch driver generates everything, then sorts, then aggregates; this
-//! driver *delivers* — each report is applied the moment it is produced, and
-//! windows seal behind the watermark while later epochs are still being
+//! The driver *delivers*: each report is applied the moment it is produced,
+//! and windows seal behind the watermark while later epochs are still being
 //! generated. The ingest threads spawned here never seal: they buffer into
 //! their own worker slots and signal the engine's dedicated sealer thread,
 //! so generation, ingestion and sealing overlap for the whole run. Two
@@ -50,13 +49,15 @@ pub struct LiveDriver {
     pub config: LiveConfig,
     /// Ingest pacing for [`Interleaving::PoleStriped`]: `Some(k)` makes
     /// each worker, after delivering epoch `e` of its stripe, block
-    /// ([`LiveCity::wait_seal_floor`]) until pane `e - k` is sealed. This
-    /// bounds buffered memory to O(`k` panes) however far generation
-    /// outruns the sealer — without it, a fast producer on a slow (or
-    /// shared) machine trips the `max_pending_per_worker` overflow shed on
-    /// long runs. `k` must exceed [`LiveConfig::lateness_panes`] or the
-    /// wait can ask for a floor the watermark never releases; sealed
-    /// content is interleaving-invariant, so pacing never changes
+    /// ([`LiveCity::wait_seal_floor`]) until every pane more than `k` below
+    /// the pane of its own epoch-`e` reports is sealed. Each worker paces on
+    /// its own progress, so a fast stripe is held back by a slow one and
+    /// buffered memory stays O(`k` panes) however far generation outruns
+    /// the sealer — without it, a fast producer on a slow (or shared)
+    /// machine trips the `max_pending_per_worker` overflow shed on long
+    /// runs. `k` is clamped above [`LiveConfig::lateness_panes`], below
+    /// which the wait could ask for a floor the watermark never releases;
+    /// sealed content is interleaving-invariant, so pacing never changes
     /// fingerprints, only arrival timing. `None` (the default) streams at
     /// full speed. Ignored by `ShuffledFifo` (small determinism runs).
     pub pace_lag_panes: Option<u64>,
@@ -82,8 +83,8 @@ pub struct LiveRun {
     /// Fingerprint chain over the sealed window sequence — the determinism
     /// witness across shard counts, worker counts and interleavings.
     pub chain_fingerprint: u64,
-    /// Whole-run totals (byte-identical to the batch pipeline's aggregates
-    /// for the same source).
+    /// Whole-run totals (byte-identical to the
+    /// [`caraoke_city::reference`] fold of the same source).
     pub totals: CityAggregates,
     /// Telemetry at the end of the run.
     pub stats: LiveStats,
@@ -137,19 +138,22 @@ impl LiveDriver {
                     for w in 0..workers {
                         scope.spawn(move || {
                             for epoch in 0..epochs {
+                                let mut oldest_us: Option<u64> = None;
                                 for pole in (w as u32..n_poles).step_by(workers) {
-                                    live.ingest(&source.report(pole, epoch));
+                                    let report = source.report(pole, epoch);
+                                    let t = report.timestamp_us;
+                                    oldest_us = Some(oldest_us.map_or(t, |o| o.min(t)));
+                                    live.ingest(&report);
                                 }
-                                if let Some(k) = pace {
-                                    // `k` panes behind the current watermark
-                                    // is strictly below the releasable floor
-                                    // (watermark − lateness), so this wait is
-                                    // always satisfiable by seals already
-                                    // requested — no deadlock for any
-                                    // epoch-to-pane mapping.
-                                    let target = live.watermark_us().saturating_sub(k * pane_us);
-                                    if target > 0 {
-                                        live.wait_seal_floor(target);
+                                if let (Some(k), Some(t)) = (pace, oldest_us) {
+                                    // The floor sits `k > lateness` panes
+                                    // below this stripe's own pane, so the
+                                    // slowest waiting stripe's floor is
+                                    // released by reports every pole has
+                                    // already delivered: no deadlock.
+                                    let floor_pane = (t / pane_us).saturating_sub(k);
+                                    if floor_pane > 0 {
+                                        live.wait_seal_floor(floor_pane * pane_us);
                                     }
                                 }
                             }
@@ -178,7 +182,7 @@ impl LiveDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caraoke_city::{BatchDriver, StoreConfig, SyntheticCity};
+    use caraoke_city::{StoreConfig, SyntheticCity};
 
     fn driver(workers: usize, shards: usize, interleaving: Interleaving) -> LiveDriver {
         LiveDriver {
@@ -248,22 +252,49 @@ mod tests {
         }
     }
 
-    #[test]
-    fn live_totals_match_the_batch_pipeline_exactly() {
-        let source = SyntheticCity::new(20, 8, 3);
-        let live = driver(4, 8, Interleaving::PoleStriped).run(&source);
-        let batch = BatchDriver {
-            workers: 3,
-            consumers: 2,
-            queue_capacity: 64,
-            store: StoreConfig::default(),
+    /// A source whose odd poles take `delay` to generate each report, so
+    /// with two pole-striped workers stripe 1 runs far behind stripe 0.
+    struct SlowOddStripe {
+        inner: SyntheticCity,
+        delay: Duration,
+    }
+
+    impl FrameSource for SlowOddStripe {
+        fn directory(&self) -> &caraoke_city::PoleDirectory {
+            self.inner.directory()
         }
-        .run(&source);
-        assert_eq!(
-            live.totals.fingerprint(),
-            batch.aggregates.fingerprint(),
-            "online and batch pipelines must agree byte-for-byte"
-        );
-        assert_eq!(live.totals, batch.aggregates);
+        fn epochs(&self) -> usize {
+            self.inner.epochs()
+        }
+        fn epoch_us(&self) -> u64 {
+            self.inner.epoch_us()
+        }
+        fn report(&self, pole: u32, epoch: usize) -> caraoke_city::PoleReport {
+            if pole % 2 == 1 {
+                std::thread::sleep(self.delay);
+            }
+            self.inner.report(pole, epoch)
+        }
+    }
+
+    #[test]
+    fn pacing_holds_a_fast_stripe_behind_a_slow_one() {
+        let source = SlowOddStripe {
+            inner: SyntheticCity::new(8, 40, 5),
+            delay: Duration::from_micros(500),
+        };
+        let free = driver(2, 4, Interleaving::PoleStriped).run(&source.inner);
+        assert_eq!(free.stats.overflow_shed, 0);
+        // Room for ~8 epochs of one stripe: ample for a paced worker (it
+        // stays within a few panes of the sealer), far short of the 40
+        // epochs an unpaced fast stripe races through.
+        let per_epoch = source.inner.mean_observations_per_frame() * 4.0;
+        let mut paced = driver(2, 4, Interleaving::PoleStriped);
+        paced.config.max_pending_per_worker = (8.0 * per_epoch) as usize;
+        paced.pace_lag_panes = Some(2);
+        let run = paced.run(&source);
+        assert_eq!(run.stats.overflow_shed, 0, "the fast stripe must wait");
+        assert_eq!(run.chain_fingerprint, free.chain_fingerprint);
+        assert_eq!(run.totals, free.totals);
     }
 }

@@ -1,8 +1,8 @@
 //! The online ingest engine.
 //!
-//! [`LiveCity`] applies [`PoleReport`]s **as they arrive** — no
-//! sort-at-finalize. The hot path is built so that ingest threads never
-//! block on shared state and never allocate per report:
+//! [`LiveCity`] applies [`PoleReport`]s **as they arrive**. The hot path is
+//! built so that ingest threads never block on shared state and never
+//! allocate per report:
 //!
 //! * a lock-free [`WatermarkClock`] derives the event-time low watermark
 //!   from pole report timestamps (per-pole atomic frontiers; every pole's
@@ -15,44 +15,45 @@
 //!   per-report allocation, no sorting;
 //! * a **dedicated sealer thread** (spawned by [`LiveCity::new`], woken by a
 //!   condvar whenever the watermark advances) drains the worker slots,
-//!   establishes the canonical order, runs the shared [`TagTracker`] state
-//!   machines (the same ones the batch store uses, §8 alias upgrades
-//!   included), folds each pane into one aggregate, fingerprints it into
-//!   the engine's **fingerprint chain**, and pushes it into the retained
-//!   [`WindowRing`]. Ingest threads only buffer and signal; they never
-//!   seal.
+//!   establishes the canonical order, runs the per-shard [`TagTracker`]
+//!   state machines (§8 alias upgrades included), folds each pane into one
+//!   aggregate, fingerprints it into the engine's **fingerprint chain**,
+//!   and pushes it into the retained [`WindowRing`]. Ingest threads only
+//!   buffer and signal; they never seal.
 //!
-//! # The columnar seal path
+//! # The seal path: drain → sort → fold → publish
 //!
 //! Worker buffers and the seal scratch are struct-of-arrays: a 32-byte
 //! `SealKey` column (every field the canonical order needs) parallel to
-//! the full [`TagObservation`] column. Ordering touches only the dense key
-//! column — a pane/shard **bucket pass** (counting sort over
-//! `(pane - first_pane) * shards + shard`) followed by a per-bucket sort
-//! of `u32` indices on `(timestamp, pole, tag, cfo_bin, seq)` — instead of
-//! one comparison sort moving ~136-byte rows. Seal batches whose
-//! pane-span × shard-count would need an unreasonable bucket table (a
-//! laggard pole 100k panes behind the frontier) fall back to a plain
-//! comparison sort on the same key; both produce the identical canonical
-//! order.
+//! the full [`TagObservation`] column. A seal runs in chunks of at most
+//! `MAX_SEAL_BUCKETS / shards` panes (a laggard pole 100k panes behind the
+//! frontier seals in many bounded chunks), each through four stages:
 //!
-//! # The sharded tracker pool
-//!
-//! Tag shards are independent by construction (observations route to
-//! trackers by CFO bin), so with [`LiveConfig::seal_pool`] > 1 the sealer
-//! fans tracker application out over a small deterministic pool: each pool
-//! thread owns a contiguous shard range, walks its buckets pane by pane
-//! (applying observations, running idle-tag compaction at the same pane
-//! boundaries, draining per-pane tracker deltas when a pane log is
-//! attached), and folds its shards' derived events into per-pane partial
-//! aggregates. The sealer then merges partials and deltas **in shard
-//! order** — every aggregate is an integer counter, so the merged pane is
-//! byte-identical to the serial fold for any pool size (the pool-sweep
-//! stress tests pin this).
+//! 1. **drain** — every worker slot's buffered panes below the chunk end
+//!    move to the scratch with bulk copies;
+//! 2. **sort** — a pane/shard counting-sort bucket pass over
+//!    `(pane - first_pane) * shards + shard`, then a per-bucket sort of
+//!    `u32` indices on `(timestamp, pole, tag, cfo_bin, seq)` — touching
+//!    only the dense key column, never moving ~136-byte rows;
+//! 3. **fold** — the one fold walk: each shard's buckets apply, pane by
+//!    pane, to the shard's tracker, folding derived events into per-pane
+//!    partial aggregates, sweeping idle-tag compaction and draining
+//!    per-pane tracker deltas (when a pane log is attached) at the same
+//!    pane boundaries. Tag shards are independent by construction
+//!    (observations route to trackers by CFO bin), so with
+//!    [`LiveConfig::seal_pool`] > 1 contiguous shard ranges fold on a
+//!    small scoped-thread pool; a pool of 1 runs the same walk inline;
+//! 4. **publish** — each pane's partials merge **in shard order** (every
+//!    aggregate is an integer counter, so the pane is byte-identical for
+//!    any pool size — the pool-sweep stress tests pin this), its
+//!    fingerprint extends the chain, the pane log appends it, and it
+//!    becomes queryable.
 //!
 //! Reports and observations *below* the sealed frontier — late beyond the
 //! lateness allowance — are **counted and shed**, never silently merged
-//! into already-sealed windows.
+//! into already-sealed windows. Malformed reports (a pole outside the
+//! directory, or observations naming another pole) are **counted and
+//! rejected** at ingest, so the sealer never sees them.
 //!
 //! # Determinism contract
 //!
@@ -65,17 +66,15 @@
 //! pane is buffered in some worker slot by then; the canonical sort —
 //! `(pane, shard, timestamp, pole, tag, seq)`, where `seq` is the
 //! observation's index within its report — erases the remaining cross-pole
-//! and cross-worker arrival freedom, exactly like the batch store's
-//! sort-at-finalize — but windows seal *online*, with bounded memory.
-//! The live totals are moreover byte-identical to a [`BatchDriver`] run of
-//! the same source (the end-to-end tests pin both properties).
+//! and cross-worker arrival freedom, with bounded memory. The chain and
+//! totals are moreover byte-identical to the single-threaded
+//! [`caraoke_city::reference`] fold of the same reports (the end-to-end
+//! tests pin both properties).
 //!
 //! Because sealing is asynchronous, *when* a pane appears in the ring is
 //! timing-dependent even though *what* it contains is not. Callers that
 //! assert on sealed state mid-stream should call [`LiveCity::wait_idle`]
 //! first; [`LiveCity::finish`] always waits for the final flush.
-//!
-//! [`BatchDriver`]: caraoke_city::BatchDriver
 
 use crate::watermark::WatermarkClock;
 use crate::window::{WindowAggregate, WindowRing};
@@ -97,8 +96,8 @@ use std::time::{Duration, Instant};
 /// Tuning knobs of the online engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LiveConfig {
-    /// Batch-tier knobs reused online: shard/stripe counts, light-cycle
-    /// length, speed-gap plausibility bounds.
+    /// Tracker knobs: shard count, light-cycle length, speed-gap
+    /// plausibility bounds.
     pub store: StoreConfig,
     /// Pane width, µs: the granularity of watermark advance and window
     /// sealing. Default 1.5 s (one §9 query epoch).
@@ -148,9 +147,10 @@ pub struct LiveConfig {
     /// pool of N the sealer applies tracker state machines on N scoped
     /// threads (each owning a contiguous shard range) and merges their
     /// per-pane partial aggregates and deltas in shard order — byte-identical
-    /// to the serial path for **any** value (the stress suite sweeps pool
-    /// sizes against the serial chain). Clamped to the shard count; `1`
-    /// (the default) keeps the serial seal path with no extra threads.
+    /// for **any** value (the stress suite sweeps pool sizes against the
+    /// pool-of-1 chain). Clamped to the shard count; `1` (the default) runs
+    /// the same fold walk inline on the sealer thread, with no extra
+    /// threads.
     pub seal_pool: usize,
 }
 
@@ -243,6 +243,10 @@ pub enum IngestOutcome {
     /// The report arrived beyond the lateness allowance — it was counted
     /// and shed whole.
     ShedLate,
+    /// The report was malformed — its pole is outside the directory, or an
+    /// observation names a different pole than the report — and was
+    /// counted ([`LiveStats::rejected_reports`]) and dropped whole.
+    Rejected,
 }
 
 /// Snapshot of the engine's telemetry counters.
@@ -254,6 +258,8 @@ pub struct LiveStats {
     pub observations: u64,
     /// Whole reports shed for arriving beyond the lateness allowance.
     pub shed_reports: u64,
+    /// Malformed reports rejected at ingest ([`IngestOutcome::Rejected`]).
+    pub rejected_reports: u64,
     /// Individual observations shed as late.
     pub shed_observations: u64,
     /// Observations shed because a worker's out-of-order buffer was full.
@@ -320,7 +326,7 @@ struct SealKey {
 }
 
 impl SealKey {
-    /// The canonical within-bucket order: the batch tier's
+    /// The canonical within-bucket order: the tracker's
     /// `canonical_obs_key` (timestamp, pole, tag, cfo_bin) plus the
     /// within-report tie-breaker.
     fn bucket_key(&self) -> (u64, u32, u64, u32, u32) {
@@ -385,6 +391,9 @@ impl SegPanes {
         }
     }
 }
+
+/// Drained report-level segment rows, by pane.
+type SegRows = BTreeMap<u64, Vec<(u16, SegmentStats)>>;
 
 /// One pane's worth of one worker's buffered observations, columnar: the
 /// [`SealKey`] column and the observation column grow in lockstep.
@@ -463,15 +472,15 @@ struct WorkerSlot {
     buf: Mutex<WorkerBuf>,
 }
 
-/// Bucket tables above this size fall back to a comparison sort: a seal
-/// batch spanning 100k panes (one laggard pole far behind the frontier)
-/// must not allocate a pane×shard counting table.
+/// Largest pane × shard bucket table one seal chunk uses: a seal spanning
+/// 100k panes (one laggard pole far behind the frontier) runs in chunks of
+/// `MAX_SEAL_BUCKETS / shards` panes instead of allocating a counting table
+/// for the whole span.
 const MAX_SEAL_BUCKETS: usize = 1 << 16;
 
 /// The sealer's reusable staging buffers, columnar like [`WorkerBuf`]:
 /// drained keys and observations, the canonical-order index vector, and
-/// the counting-sort bucket tables (offsets are kept when the bucket pass
-/// ran — the tracker pool dispatches straight off them).
+/// the counting-sort bucket tables the fold walks straight off.
 #[derive(Debug, Default)]
 struct SealScratch {
     keys: Vec<SealKey>,
@@ -479,8 +488,7 @@ struct SealScratch {
     /// Indices into `keys`/`obs` in canonical order.
     order: Vec<u32>,
     /// `offsets[b]..offsets[b + 1]` is bucket `b`'s range in `order`
-    /// (bucket = `(pane - first_pane) * n_shards + shard`); empty when the
-    /// batch fell back to a comparison sort.
+    /// (bucket = `(pane - first_pane) * n_shards + shard`).
     offsets: Vec<u32>,
     /// Scatter cursors for the counting pass.
     cursors: Vec<u32>,
@@ -495,31 +503,16 @@ impl SealScratch {
         self.cursors.clear();
     }
 
-    /// Establishes the canonical order over the drained columns, as `u32`
-    /// indices in `order`. The fast path is a counting sort over
-    /// `(pane, shard)` buckets followed by a per-bucket key sort; batches
-    /// whose pane span × shard count exceeds [`MAX_SEAL_BUCKETS`] take one
-    /// comparison sort over the full key instead. Both produce the same
-    /// total order. Returns whether the bucket tables were built (the
-    /// precondition for pooled tracker application).
-    fn sort(&mut self, first_pane: u64, span: usize, n_shards: usize, pane_us: u64) -> bool {
+    /// Seal stage 2: establishes the canonical order over the drained
+    /// columns, as `u32` indices in `order` — a counting sort over
+    /// `(pane, shard)` buckets followed by a per-bucket sort on
+    /// `(timestamp, pole, tag, cfo_bin, seq)`. The caller's chunking keeps
+    /// the table within [`MAX_SEAL_BUCKETS`] (or one pane's shards).
+    fn sort(&mut self, first_pane: u64, span: usize, n_shards: usize, pane_us: u64) {
         let len = self.keys.len();
         debug_assert!(len <= u32::MAX as usize, "seal batch exceeds u32 indices");
-        self.order.clear();
-        let n_buckets = match span.checked_mul(n_shards) {
-            Some(n) if n <= MAX_SEAL_BUCKETS => n,
-            _ => {
-                // Laggard-span fallback: comparison sort on the full key.
-                self.offsets.clear();
-                self.order.extend(0..len as u32);
-                let keys = &self.keys;
-                self.order.sort_unstable_by_key(|&i| {
-                    let k = &keys[i as usize];
-                    (k.timestamp_us / pane_us, k.shard, k.bucket_key())
-                });
-                return false;
-            }
-        };
+        let n_buckets = span * n_shards;
+        debug_assert!(n_buckets <= MAX_SEAL_BUCKETS.max(n_shards));
         let bucket = |k: &SealKey| {
             (k.timestamp_us / pane_us - first_pane) as usize * n_shards + k.shard as usize
         };
@@ -533,6 +526,7 @@ impl SealScratch {
         }
         self.cursors.clear();
         self.cursors.extend_from_slice(&self.offsets[..n_buckets]);
+        self.order.clear();
         self.order.resize(len, 0);
         for (i, k) in self.keys.iter().enumerate() {
             let b = bucket(k);
@@ -546,7 +540,6 @@ impl SealScratch {
                 self.order[range].sort_unstable_by_key(|&i| keys[i as usize].bucket_key());
             }
         }
-        true
     }
 }
 
@@ -642,6 +635,7 @@ struct LiveCore {
     seal_floor_us: AtomicU64,
     reports: AtomicU64,
     shed_reports: AtomicU64,
+    rejected_reports: AtomicU64,
     shed_observations: AtomicU64,
     overflow_shed: AtomicU64,
     forced_panes: AtomicU64,
@@ -848,6 +842,7 @@ impl LiveCity {
             seal_floor_us: AtomicU64::new(seal_floor_us),
             reports: AtomicU64::new(0),
             shed_reports: AtomicU64::new(0),
+            rejected_reports: AtomicU64::new(0),
             shed_observations: AtomicU64::new(0),
             overflow_shed: AtomicU64::new(0),
             forced_panes: AtomicU64::new(forced_panes),
@@ -924,7 +919,9 @@ impl LiveCity {
     /// Applies one pole report as it arrives. Safe to call from many
     /// threads at once; each pole's reports must be delivered FIFO (the
     /// watermark contract) — reports older than the sealed frontier are
-    /// counted and shed.
+    /// counted and shed, and malformed reports (a pole outside the
+    /// directory, or an observation whose pole differs from the report's)
+    /// are counted and rejected whole.
     ///
     /// Lock-light: the only lock taken is the calling thread's own worker
     /// slot (contended only by the sealer), plus — on the rare report that
@@ -935,9 +932,8 @@ impl LiveCity {
 
     /// Flushes the run: asks the sealer to seal every pane up to the latest
     /// timestamp heard — as if every pole had reported past it — and waits
-    /// until it has. Call once ingestion ends (the streaming analogue of
-    /// the batch driver's finalize); ingest must not run concurrently with
-    /// the flush.
+    /// until it has. Call once ingestion ends; ingest must not run
+    /// concurrently with the flush.
     pub fn finish(&self) {
         let core = &*self.core;
         let target = core.clock.max_frontier_us() / core.config.pane_us + 1;
@@ -1018,8 +1014,8 @@ impl LiveCity {
     }
 
     /// Whole-run totals: the merge of every sealed pane. After [`finish`],
-    /// byte-identical to the batch pipeline's aggregates for the same
-    /// source.
+    /// byte-identical to the [`caraoke_city::reference`] fold of the same
+    /// reports.
     ///
     /// [`finish`]: LiveCity::finish
     pub fn totals(&self) -> CityAggregates {
@@ -1054,6 +1050,7 @@ impl LiveCity {
             reports: core.reports.load(Ordering::Relaxed),
             observations: sealed.total.observations,
             shed_reports: core.shed_reports.load(Ordering::Relaxed),
+            rejected_reports: core.rejected_reports.load(Ordering::Relaxed),
             shed_observations: core.shed_observations.load(Ordering::Relaxed),
             overflow_shed: core.overflow_shed.load(Ordering::Relaxed),
             buffered_observations: buffered as u64,
@@ -1175,6 +1172,17 @@ impl LiveCore {
     }
 
     fn ingest(&self, report: &PoleReport) -> IngestOutcome {
+        // Validate before anything keys per-pole state: the watermark clock
+        // and the sealer's fold index the directory by pole id.
+        if report.pole.0 as usize >= self.directory.len()
+            || report
+                .observations
+                .iter()
+                .any(|obs| obs.pole != report.pole)
+        {
+            self.rejected_reports.fetch_add(1, Ordering::Relaxed);
+            return IngestOutcome::Rejected;
+        }
         let floor = self.seal_floor_us.load(Ordering::Acquire);
         if report.timestamp_us < floor {
             self.shed_reports.fetch_add(1, Ordering::Relaxed);
@@ -1363,40 +1371,53 @@ impl LiveCore {
     }
 
     /// Seals every pane below `target` (exclusive), in pane order. Runs on
-    /// the sealer thread only. `forced` marks staleness-path seals: each
-    /// pane is counted as forced with its per-pane pole-miss count —
-    /// telemetry the pane log persists so replay is faithful. (Racy
-    /// against a pole reviving this instant — its data still seals
-    /// correctly; only the miss count can over-report.)
+    /// the sealer thread only. Each chunk of at most
+    /// `MAX_SEAL_BUCKETS / shards` panes runs the four seal stages in turn
+    /// — [`drain`](Self::drain), [`SealScratch::sort`],
+    /// [`fold`](Self::fold), [`publish`](Self::publish) — so a laggard span
+    /// of 100k panes seals in bounded bucket tables instead of one huge
+    /// one. `forced` marks staleness-path seals (see `publish`).
     fn seal_up_to(&self, target: u64, forced: bool) {
         let mut sealed = self.sealed.lock().expect("sealed state");
-        if sealed.next_pane >= target {
-            return;
+        let chunk = (MAX_SEAL_BUCKETS / self.n_shards).max(1) as u64;
+        while sealed.next_pane < target {
+            let state = &mut *sealed;
+            let first_pane = state.next_pane;
+            let end = target.min(first_pane + chunk);
+            let span = (end - first_pane) as usize;
+            let seg_panes = self.drain(&mut state.scratch, first_pane, end);
+            state
+                .scratch
+                .sort(first_pane, span, self.n_shards, self.config.pane_us);
+            let parts = self.fold(&mut state.trackers, &state.scratch, first_pane, span);
+            state.scratch.clear();
+            self.publish(state, parts, seg_panes, first_pane, forced);
         }
-        let pane_us = self.config.pane_us;
-        let first_pane = sealed.next_pane;
+        drop(sealed);
+        self.pane_sealed.notify_all();
+    }
 
-        // Drain every worker slot once: every pane bucket below the final
-        // seal frontier moves to the scratch buffer wholesale (bucket order
-        // within a pane preserves arrival order, which is what keeps ties
-        // among equal canonical keys deterministic). No in-contract
-        // delivery can add observations below `target * pane_us`
-        // concurrently: the watermark only reached `target` because every
-        // pole's frontier already passed it (see `ingest`). A racing
-        // out-of-contract push can leave observations below an
-        // already-sealed pane in a buffer; those buckets are counted as
-        // shed here, never merged.
+    /// Seal stage 1: moves every buffered observation of the panes
+    /// `first_pane..end` out of the worker slots (and decommissioned
+    /// workers' orphan buffers) into `scratch`, returning those panes'
+    /// report-level segment rows.
+    ///
+    /// Each slot is drained once: every pane bucket below `end` moves to
+    /// the scratch wholesale (bucket order within a pane preserves arrival
+    /// order, which is what keeps ties among equal canonical keys
+    /// deterministic), and the buffered tail ahead of the frontier is never
+    /// touched. No in-contract delivery can add observations below
+    /// `end * pane_us` concurrently: the watermark only released `end`
+    /// because every pole's frontier already passed it (see `ingest`). A
+    /// racing out-of-contract push can leave observations below an
+    /// already-sealed pane in a buffer; those buckets (and their segment
+    /// rows) are counted as shed here, never merged.
+    fn drain(&self, scratch: &mut SealScratch, first_pane: u64, end: u64) -> SegRows {
         let slots: Vec<Arc<WorkerSlot>> = self.workers.lock().expect("worker registry").clone();
-        let mut scratch = std::mem::take(&mut sealed.scratch);
-        let mut seg_panes: BTreeMap<u64, Vec<(u16, SegmentStats)>> = BTreeMap::new();
+        let mut seg_panes = SegRows::new();
         let mut shed_late = 0u64;
         let mut drain_buf = |buf: &mut WorkerBuf| {
-            // Buckets are pane-sorted: everything below the seal frontier
-            // moves with two bulk copies per bucket (a whole bucket below
-            // the floor is the racy out-of-contract case — shed, never
-            // merged), and the buffered tail ahead of the frontier is never
-            // touched, let alone rescanned.
-            let cut = buf.panes.partition_point(|b| b.pane < target);
+            let cut = buf.panes.partition_point(|b| b.pane < end);
             for mut bucket in buf.panes.drain(..cut) {
                 buf.len -= bucket.keys.len();
                 if bucket.pane < first_pane {
@@ -1409,9 +1430,7 @@ impl LiveCore {
                 bucket.obs.clear();
                 buf.spare.push(bucket);
             }
-            buf.seg.drain_below(target, |pane, seg, stats| {
-                // Segment rows for already-sealed panes (same racy-push
-                // case) are dropped: report-level counters, not merged.
+            buf.seg.drain_below(end, |pane, seg, stats| {
                 if pane >= first_pane {
                     seg_panes.entry(pane).or_default().push((seg, stats));
                 }
@@ -1421,8 +1440,7 @@ impl LiveCore {
             drain_buf(&mut slot.buf.lock().expect("worker buffer"));
         }
         {
-            // Buffers left behind by decommissioned workers seal the same
-            // way; fully drained ones are freed.
+            // Fully drained orphan buffers are freed.
             let mut orphans = self.orphans.lock().expect("orphan buffers");
             for buf in orphans.iter_mut() {
                 drain_buf(buf);
@@ -1433,247 +1451,33 @@ impl LiveCore {
             self.shed_observations
                 .fetch_add(shed_late, Ordering::Relaxed);
         }
-
-        // Establish the canonical order — panes ascending, then shard, then
-        // the batch tier's `(timestamp, pole, tag)` key, then the
-        // within-report sequence number for ties — as index order over the
-        // key column (bucket pass + per-bucket sort, or the laggard-span
-        // comparison fallback).
-        let span = (target - first_pane) as usize;
-        let bucketed = scratch.sort(first_pane, span, self.n_shards, pane_us);
-
-        // With a tracker pool configured and the bucket tables built, apply
-        // every shard's observations (plus compaction sweeps and per-pane
-        // delta drains) on the pool threads *before* the serial per-pane
-        // walk; the walk then merges the per-pane partials in shard order.
-        let pool = self.config.seal_pool.clamp(1, self.n_shards);
-        let state = &mut *sealed;
-        let mut parts: Option<Vec<PoolPart>> = None;
-        if pool > 1 && bucketed && !scratch.order.is_empty() {
-            // The sink set is stable for the whole batch: `reattach_log`
-            // takes the sealed lock, which we hold.
-            let want_deltas = self.log.lock().expect("log sink").is_some();
-            let pooled = self.run_pool(
-                &mut state.trackers,
-                pool,
-                first_pane,
-                span,
-                &scratch,
-                want_deltas,
-            );
-            let evicted: u64 = pooled.iter().map(|p| p.evicted).sum();
-            if evicted > 0 {
-                self.compacted_tags.fetch_add(evicted, Ordering::Relaxed);
-            }
-            parts = Some(pooled);
-        }
-
-        let mut idx = 0;
-        for pane in first_pane..target {
-            let pane_idx = (pane - first_pane) as usize;
-            let pane_end_us = (pane + 1) * pane_us;
-            let mut agg = CityAggregates::new();
-            // Deltas the pool already drained for this pane, shard order.
-            let mut pooled_deltas: Option<Vec<TrackerDelta>> = None;
-            match &mut parts {
-                Some(parts) => {
-                    for part in parts.iter_mut() {
-                        if let Some(partial) = part.aggs[pane_idx].take() {
-                            agg.merge(&partial);
-                        }
-                    }
-                    if parts.iter().any(|p| !p.deltas.is_empty()) {
-                        pooled_deltas = Some(
-                            parts
-                                .iter_mut()
-                                .flat_map(|p| p.deltas[pane_idx].drain(..))
-                                .collect(),
-                        );
-                    }
-                    // The pool consumed this pane's entries; advance the
-                    // cursor past them for the exhaustion check below.
-                    while idx < scratch.order.len()
-                        && scratch.keys[scratch.order[idx] as usize].timestamp_us < pane_end_us
-                    {
-                        idx += 1;
-                    }
-                }
-                None => {
-                    while idx < scratch.order.len() {
-                        let i = scratch.order[idx] as usize;
-                        let key = &scratch.keys[i];
-                        if key.timestamp_us >= pane_end_us {
-                            break;
-                        }
-                        if let Some(&j) = scratch.order.get(idx + FOLD_PREFETCH_AHEAD) {
-                            prefetch_obs(&scratch.obs[j as usize]);
-                            prefetch_key(&scratch.keys[j as usize]);
-                        }
-                        // Nearer hint for the tracker's state table: by now
-                        // the slot-ahead observation row is resident (the
-                        // far hint above covered it), so its alias probe is
-                        // cheap and the state line it resolves to has a few
-                        // folds of latency to arrive.
-                        if let Some(&j) = scratch.order.get(idx + TRACKER_PREFETCH_AHEAD) {
-                            let kj = &scratch.keys[j as usize];
-                            state.trackers[kj.shard as usize].prefetch(&scratch.obs[j as usize]);
-                        }
-                        fold_observation(
-                            &mut agg,
-                            &mut state.trackers[key.shard as usize],
-                            &scratch.obs[i],
-                            &self.directory,
-                            &self.config.store,
-                        );
-                        idx += 1;
-                    }
-                }
-            }
-            if let Some(rows) = seg_panes.remove(&pane) {
-                for (seg, stats) in rows {
-                    agg.segments.entry(seg).or_default().merge(&stats);
-                }
-            }
-            // Idle-tag compaction sweeps *before* the pane's delta is taken
-            // below, so traced evictions ride this pane's delta as removals
-            // and any snapshot exports the already-compacted state — replay
-            // equivalence holds with or without compaction. The cutoff is a
-            // pure function of the pane index, so equal runs compact
-            // identically. (Pooled batches already swept on the pool
-            // threads, at the same boundaries.)
-            if parts.is_none() {
-                if let Some(cutoff) = self.compaction_cutoff(pane) {
-                    let evicted: u64 = state
-                        .trackers
-                        .iter_mut()
-                        .map(|t| t.evict_idle(cutoff))
-                        .sum();
-                    if evicted > 0 {
-                        self.compacted_tags.fetch_add(evicted, Ordering::Relaxed);
-                    }
-                }
-            }
-            let pole_misses = if forced {
-                self.forced_panes.fetch_add(1, Ordering::Relaxed);
-                let misses = self.clock.poles_behind((pane + 1) * pane_us) as u64;
-                self.forced_pole_misses.fetch_add(misses, Ordering::Relaxed);
-                misses as u32
-            } else {
-                0
-            };
-            let fingerprint = agg.fingerprint64();
-            state.chain.write_u64(pane);
-            state.chain.write_u64(fingerprint);
-            state.total.merge(&agg);
-            // Durability before visibility: the pane record (and any due
-            // snapshot) is appended while we still hold the sealed lock,
-            // before the pane enters the ring or moves the seal floor.
-            // Transient write errors retry in place (still under the lock,
-            // so visibility keeps waiting on durability); a fatal error
-            // flips the sink to failed — sealing continues, appends stop
-            // (liveness over durability), and the log on disk stays a
-            // valid prefix until `reattach_log`.
-            {
-                let mut guard = self.log.lock().expect("log sink");
-                if let Some(sink) = guard.as_mut() {
-                    let chain_now = state.chain.finish();
-                    // Pooled batches drained each pane's deltas on the pool
-                    // threads (in shard order) right after applying it;
-                    // serial batches drain here. Same point in the tracker
-                    // timeline either way: after this pane's observations
-                    // and compaction, before the next pane's.
-                    let deltas: Vec<TrackerDelta> = pooled_deltas.take().unwrap_or_else(|| {
-                        state
-                            .trackers
-                            .iter_mut()
-                            .map(TagTracker::take_delta)
-                            .collect()
-                    });
-                    // Pane and snapshot retry as *separate* logical writes:
-                    // a transient snapshot failure must not re-append the
-                    // (already written) pane record.
-                    let pane_ok = self.log_write(sink, "pane append", |w| {
-                        w.append_pane(
-                            pane,
-                            forced,
-                            pole_misses,
-                            fingerprint,
-                            chain_now,
-                            &agg,
-                            &deltas,
-                        )
-                    });
-                    let due_snapshot = sink.snapshot_every > 0
-                        && pane + 1 >= sink.last_snapshot_pane + sink.snapshot_every;
-                    if pane_ok && due_snapshot {
-                        let snap = SnapshotRecord {
-                            next_pane: pane + 1,
-                            chain: chain_now,
-                            forced_panes: self.forced_panes.load(Ordering::Relaxed),
-                            forced_pole_misses: self.forced_pole_misses.load(Ordering::Relaxed),
-                            dead_poles: self.clock.dead_poles(),
-                            total: state.total.clone(),
-                            trackers: state.trackers.iter().map(TagTracker::export).collect(),
-                        };
-                        if self.log_write(sink, "snapshot append", |w| w.append_snapshot(&snap)) {
-                            sink.last_snapshot_pane = pane + 1;
-                        }
-                    }
-                }
-            }
-            state.ring.push(pane, agg);
-            state.next_pane = pane + 1;
-            self.seal_floor_us
-                .store((pane + 1) * pane_us, Ordering::Release);
-        }
-        // One fsync-policy commit per seal batch, still under the sealed
-        // lock: every pane above is durable (per policy) before any query
-        // can observe it.
-        {
-            let mut guard = self.log.lock().expect("log sink");
-            if let Some(sink) = guard.as_mut() {
-                self.log_write(sink, "seal commit", |w| w.commit_seal());
-            }
-        }
-        debug_assert_eq!(idx, scratch.order.len(), "every drained observation sealed");
-        scratch.clear();
-        sealed.scratch = scratch;
-        drop(sealed);
-        self.pane_sealed.notify_all();
-    }
-}
-
-impl LiveCore {
-    /// The idle-tag compaction cutoff for `pane`, when a sweep is due after
-    /// it: a pure function of the pane index and config, shared by the
-    /// serial and pooled paths so both sweep at identical boundaries.
-    fn compaction_cutoff(&self, pane: u64) -> Option<u64> {
-        let idle_us = self.config.compact_idle_us?;
-        let every = self.config.compact_every_panes.max(1);
-        if !(pane + 1).is_multiple_of(every) {
-            return None;
-        }
-        let cutoff = ((pane + 1) * self.config.pane_us).saturating_sub(idle_us);
-        (cutoff > 0).then_some(cutoff)
+        seg_panes
     }
 
-    /// Fans tracker application out over `pool` scoped threads, each owning
-    /// a contiguous shard range (`split_at_mut` over the tracker vector —
-    /// no locks, no cloning). Blocks until every worker finishes; returns
-    /// their outputs in worker (= shard) order. Runs on the sealer thread,
-    /// under the sealed lock, only.
-    fn run_pool(
+    /// Seal stage 3: applies every drained observation, in canonical order,
+    /// to its shard's tracker, folding derived events into per-pane partial
+    /// aggregates (see [`pool_apply`](Self::pool_apply)). With
+    /// [`LiveConfig::seal_pool`] > 1 the shard ranges fold on that many
+    /// scoped threads, each owning a contiguous range (`split_at_mut` over
+    /// the tracker vector — no locks, no cloning); a pool of 1, or an empty
+    /// batch, folds inline on the sealer thread. Returns the parts in shard
+    /// order.
+    fn fold(
         &self,
         trackers: &mut [TagTracker],
-        pool: usize,
+        scratch: &SealScratch,
         first_pane: u64,
         span: usize,
-        scratch: &SealScratch,
-        want_deltas: bool,
     ) -> Vec<PoolPart> {
-        let n_shards = trackers.len();
-        let base = n_shards / pool;
-        let rem = n_shards % pool;
+        // The sink set is stable for the whole batch: `reattach_log` takes
+        // the sealed lock, which the caller holds.
+        let want_deltas = self.log.lock().expect("log sink").is_some();
+        let pool = self.config.seal_pool.clamp(1, self.n_shards);
+        if pool == 1 || scratch.order.is_empty() {
+            return vec![self.pool_apply(trackers, 0, first_pane, span, scratch, want_deltas)];
+        }
+        let base = self.n_shards / pool;
+        let rem = self.n_shards % pool;
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(pool);
             let mut rest = trackers;
@@ -1695,14 +1499,16 @@ impl LiveCore {
         })
     }
 
-    /// One pool worker's pass: walk every pane's buckets for the owned
-    /// shard range in canonical order, folding observations and derived
-    /// events into a sparse per-pane partial aggregate, sweeping idle-tag
-    /// compaction at the same pane boundaries the serial path uses, and —
-    /// when a pane log is attached — draining each owned shard's delta per
-    /// pane, in shard order. Each tracker sees exactly the observation
-    /// sequence, eviction points and delta drains the serial path would
-    /// give it.
+    /// One fold pass over a contiguous shard range: walk every pane's
+    /// buckets for the owned shards in canonical order, folding
+    /// observations and derived events into a sparse per-pane partial
+    /// aggregate, sweeping idle-tag compaction at the end of every due pane
+    /// and — when a pane log is attached — draining each owned shard's
+    /// delta per pane, in shard order. Compaction runs *before* the pane's
+    /// delta is taken, so traced evictions ride that pane's delta as
+    /// removals and any snapshot exports the already-compacted state; the
+    /// cutoff is a pure function of the pane index, so equal runs compact
+    /// identically for any pool size.
     fn pool_apply(
         &self,
         trackers: &mut [TagTracker],
@@ -1759,9 +1565,133 @@ impl LiveCore {
         }
         part
     }
+
+    /// Seal stage 4: assembles each pane of the chunk from its partials —
+    /// the first non-empty partial moves into place and the rest merge in
+    /// shard order (every aggregate is an integer counter, so the result is
+    /// byte-identical for any pool size) — plus its segment rows, chains
+    /// its fingerprint, appends it to the pane log, and makes it queryable.
+    /// Ends with one fsync-policy commit for the chunk.
+    ///
+    /// Durability before visibility: each pane record (and any due
+    /// snapshot) is appended while the caller still holds the sealed lock,
+    /// before the pane enters the ring or moves the seal floor. Transient
+    /// write errors retry in place; a fatal error flips the sink to failed
+    /// — sealing continues, appends stop (liveness over durability), and
+    /// the log on disk stays a valid prefix until `reattach_log`.
+    ///
+    /// `forced` marks staleness-path seals: each pane is counted as forced
+    /// with its per-pane pole-miss count — telemetry the pane log persists
+    /// so replay is faithful. (Racy against a pole reviving this instant —
+    /// its data still seals correctly; only the miss count can
+    /// over-report.)
+    fn publish(
+        &self,
+        state: &mut SealedState,
+        mut parts: Vec<PoolPart>,
+        mut seg_panes: SegRows,
+        first_pane: u64,
+        forced: bool,
+    ) {
+        let pane_us = self.config.pane_us;
+        let evicted: u64 = parts.iter().map(|p| p.evicted).sum();
+        if evicted > 0 {
+            self.compacted_tags.fetch_add(evicted, Ordering::Relaxed);
+        }
+        let mut log = self.log.lock().expect("log sink");
+        for pane_idx in 0..parts[0].aggs.len() {
+            let pane = first_pane + pane_idx as u64;
+            // Moving the first partial (instead of merging it into a fresh
+            // aggregate) keeps the one-part inline fold as cheap as a
+            // direct fold.
+            let mut partials = parts.iter_mut().filter_map(|p| p.aggs[pane_idx].take());
+            let mut agg = partials
+                .next()
+                .map_or_else(CityAggregates::new, |first| *first);
+            for partial in partials {
+                agg.merge(&partial);
+            }
+            if let Some(rows) = seg_panes.remove(&pane) {
+                for (seg, stats) in rows {
+                    agg.segments.entry(seg).or_default().merge(&stats);
+                }
+            }
+            let pole_misses = if forced {
+                self.forced_panes.fetch_add(1, Ordering::Relaxed);
+                let misses = self.clock.poles_behind((pane + 1) * pane_us) as u64;
+                self.forced_pole_misses.fetch_add(misses, Ordering::Relaxed);
+                misses as u32
+            } else {
+                0
+            };
+            let fingerprint = agg.fingerprint64();
+            state.chain.write_u64(pane);
+            state.chain.write_u64(fingerprint);
+            state.total.merge(&agg);
+            if let Some(sink) = log.as_mut() {
+                let chain_now = state.chain.finish();
+                let deltas: Vec<TrackerDelta> = parts
+                    .iter_mut()
+                    .flat_map(|p| p.deltas[pane_idx].drain(..))
+                    .collect();
+                // Pane and snapshot retry as *separate* logical writes: a
+                // transient snapshot failure must not re-append the
+                // (already written) pane record.
+                let pane_ok = self.log_write(sink, "pane append", |w| {
+                    w.append_pane(
+                        pane,
+                        forced,
+                        pole_misses,
+                        fingerprint,
+                        chain_now,
+                        &agg,
+                        &deltas,
+                    )
+                });
+                let due_snapshot = sink.snapshot_every > 0
+                    && pane + 1 >= sink.last_snapshot_pane + sink.snapshot_every;
+                if pane_ok && due_snapshot {
+                    let snap = SnapshotRecord {
+                        next_pane: pane + 1,
+                        chain: chain_now,
+                        forced_panes: self.forced_panes.load(Ordering::Relaxed),
+                        forced_pole_misses: self.forced_pole_misses.load(Ordering::Relaxed),
+                        dead_poles: self.clock.dead_poles(),
+                        total: state.total.clone(),
+                        trackers: state.trackers.iter().map(TagTracker::export).collect(),
+                    };
+                    if self.log_write(sink, "snapshot append", |w| w.append_snapshot(&snap)) {
+                        sink.last_snapshot_pane = pane + 1;
+                    }
+                }
+            }
+            state.ring.push(pane, agg);
+            state.next_pane = pane + 1;
+            self.seal_floor_us
+                .store((pane + 1) * pane_us, Ordering::Release);
+        }
+        // One fsync-policy commit per chunk, still under the sealed lock:
+        // every pane above is durable (per policy) before any query can
+        // observe it.
+        if let Some(sink) = log.as_mut() {
+            self.log_write(sink, "seal commit", |w| w.commit_seal());
+        }
+    }
+
+    /// The idle-tag compaction cutoff for `pane`, when a sweep is due after
+    /// it: a pure function of the pane index and config.
+    fn compaction_cutoff(&self, pane: u64) -> Option<u64> {
+        let idle_us = self.config.compact_idle_us?;
+        let every = self.config.compact_every_panes.max(1);
+        if !(pane + 1).is_multiple_of(every) {
+            return None;
+        }
+        let cutoff = ((pane + 1) * self.config.pane_us).saturating_sub(idle_us);
+        (cutoff > 0).then_some(cutoff)
+    }
 }
 
-/// One pool worker's output: sparse per-pane partial aggregates for its
+/// One fold pass's output: sparse per-pane partial aggregates for its
 /// shard range, per-pane tracker deltas (only when a pane log is attached),
 /// and its compaction eviction count.
 struct PoolPart {
@@ -1770,9 +1700,9 @@ struct PoolPart {
     evicted: u64,
 }
 
-/// How many permutation slots ahead the seal walks hint the prefetcher.
-/// Far enough to cover an L2 miss at ~2.5 cycles/fold-instruction, near
-/// enough that the line is still resident when the walk arrives.
+/// How many bucket slots ahead the fold walk hints the prefetcher. Far
+/// enough to cover an L2 miss at ~2.5 cycles/fold-instruction, near enough
+/// that the line is still resident when the walk arrives.
 const FOLD_PREFETCH_AHEAD: usize = 8;
 
 /// Slots ahead for the tracker state-table hint ([`TagTracker::prefetch`]).
@@ -1782,7 +1712,7 @@ const FOLD_PREFETCH_AHEAD: usize = 8;
 /// observation rows.
 const TRACKER_PREFETCH_AHEAD: usize = 4;
 
-/// Hints the cache at an upcoming observation row. The seal walks read the
+/// Hints the cache at an upcoming observation row. The fold walk reads the
 /// payload column *through the sort permutation*, so consecutive folds land
 /// on unrelated cache lines; prefetching a few slots ahead overlaps those
 /// misses with the current fold's work. A hint only — no effect on results.
@@ -1810,23 +1740,8 @@ fn prefetch_obs(obs: &TagObservation) {
     let _ = obs;
 }
 
-/// [`prefetch_obs`] for the key column (one cache line), used by the serial
-/// walk, which re-reads each key through the permutation for its pane check.
-#[allow(unsafe_code)]
-#[inline(always)]
-fn prefetch_key(key: &SealKey) {
-    #[cfg(target_arch = "x86_64")]
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch(key as *const SealKey as *const i8, _MM_HINT_T0);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = key;
-}
-
 /// Folds one observation into a pane aggregate through its shard's tracker
-/// — the single definition of the per-observation hot path, shared by the
-/// serial seal walk and the pool workers so the two cannot diverge.
+/// — the per-observation hot path of [`LiveCore::pool_apply`].
 fn fold_observation(
     agg: &mut CityAggregates,
     tracker: &mut TagTracker,
@@ -2046,6 +1961,65 @@ mod tests {
         assert_eq!(stats.sealed_panes, 100_001);
         assert_eq!(stats.shed_observations, 0);
         assert_eq!(stats.overflow_shed, 0);
+    }
+
+    /// The reference fold of `reports` under `config`.
+    fn oracle(
+        dir: &PoleDirectory,
+        config: &LiveConfig,
+        reports: &[PoleReport],
+    ) -> (u64, CityAggregates) {
+        let run = caraoke_city::reference::fold(dir, &config.store, config.pane_us, reports);
+        (run.chain(), run.totals())
+    }
+
+    #[test]
+    fn long_laggard_spans_seal_in_chunks_equal_to_the_reference() {
+        // Pole 0 reports every 7th pane out to pane 10 000 while pole 1
+        // stays at pane 0; pole 1's catch-up then releases the whole span
+        // in one seal target. With 16 shards that is three chunks of at
+        // most 4 096 panes, each holding data — and the chain (the empty
+        // panes between reports included) and totals must equal the
+        // reference fold.
+        let dir = directory(2);
+        let mut reports = vec![report(1, 0, 0, vec![obs(1, 1, 0, 0)])];
+        for pane in (0..10_000u64).step_by(7) {
+            let t = pane * 1_000_000 + 500_000;
+            let tags = [2 + pane % 5, 100 + pane % 3];
+            reports.push(report(
+                0,
+                0,
+                t,
+                tags.iter().map(|&g| obs(g, 0, 0, t)).collect(),
+            ));
+        }
+        let end = 10_000 * 1_000_000;
+        reports.push(report(
+            1,
+            0,
+            end,
+            vec![obs(2, 1, 0, end), obs(100, 1, 0, end)],
+        ));
+        for seal_pool in [1, 4] {
+            let mut config = tiny_config();
+            config.store.shards = 16;
+            config.seal_pool = seal_pool;
+            let live = LiveCity::new(dir.clone(), config);
+            for r in &reports {
+                live.ingest(r);
+            }
+            live.finish();
+            let stats = live.stats();
+            assert_eq!(stats.sealed_panes, 10_001);
+            assert_eq!(stats.shed_observations + stats.overflow_shed, 0);
+            let (chain, totals) = oracle(&dir, &config, &reports);
+            assert!(
+                totals.od.total() > 0,
+                "the catch-up must produce transitions"
+            );
+            assert_eq!(live.totals(), totals, "pool {seal_pool}");
+            assert_eq!(live.fingerprint_chain(), chain, "pool {seal_pool}");
+        }
     }
 
     #[test]
@@ -2361,6 +2335,47 @@ mod tests {
         );
         drop(recovered);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn malformed_reports_are_rejected_and_never_reach_the_sealer() {
+        use caraoke_city::{FrameSource, SyntheticCity};
+        let source = SyntheticCity::new(8, 6, 4);
+        let config = LiveConfig::default();
+        let run = |bad: &[PoleReport]| {
+            let live = LiveCity::new(source.directory().clone(), config);
+            for epoch in 0..source.epochs() {
+                for pole in 0..8 {
+                    live.ingest(&source.report(pole, epoch));
+                }
+                if epoch == 2 {
+                    for report in bad {
+                        assert_eq!(live.ingest(report), IngestOutcome::Rejected);
+                    }
+                }
+            }
+            live.finish();
+            (live.fingerprint_chain(), live.totals(), live.stats())
+        };
+        // One observation naming a pole outside the directory (it used to
+        // panic the sealer), and a report from a pole the directory lacks.
+        let mut stray = source.report(3, 2);
+        stray.observations[0].pole = PoleId(999);
+        let mut unknown = source.report(5, 2);
+        unknown.pole = PoleId(999);
+        for obs in &mut unknown.observations {
+            obs.pole = PoleId(999);
+        }
+        let (clean_chain, clean_totals, _) = run(&[]);
+        let (chain, totals, stats) = run(&[stray, unknown]);
+        assert_eq!(stats.rejected_reports, 2);
+        assert_eq!(
+            stats.reports,
+            8 * 6,
+            "rejected reports are not counted as accepted"
+        );
+        assert_eq!(chain, clean_chain, "as if the bad reports were never sent");
+        assert_eq!(totals, clean_totals);
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! # caraoke-live
 //!
-//! The **online** city layer: where `caraoke-city` batches a whole run and
-//! sorts at finalize, this crate applies [`PoleReport`]s *as they arrive*
+//! The city engine: this crate applies [`PoleReport`]s *as they arrive*
 //! and keeps the analytics continuously queryable — the event-time /
 //! watermark discipline of streaming analytics systems, applied to the
-//! paper's smart-city workloads (§7, §9, §11–12).
+//! paper's smart-city workloads (§7, §9, §11–12). It is the one engine
+//! that computes city aggregates; `caraoke-city` supplies its building
+//! blocks and a small reference fold the tests check it against.
 //!
 //! ```text
 //!               caraoke-sim
 //!                    |
-//!              caraoke-city                  batch: sharded store, sort-at-
-//!                    |                       finalize, whole-run snapshot
+//!              caraoke-city                  wire model, tracker, aggregates,
+//!                    |                       frame sources, reference fold
 //!              caraoke-log                   durable sealed-pane log:
 //!                    |                       verified replay, recovery
 //!              caraoke-live  ← this crate    online: watermarked ingest,
@@ -22,8 +23,8 @@
 //! * [`watermark`] — per-pole **atomic** frontiers and the monotone
 //!   event-time low watermark, advanced in pane-width steps with O(1)
 //!   amortized cost and no lock on the hot path.
-//! * [`window`] — window-keyed aggregate state: the batch tier's
-//!   [`CityAggregates`] generalized into pane ring buffers
+//! * [`window`] — window-keyed aggregate state: [`CityAggregates`]
+//!   generalized into pane ring buffers
 //!   ([`WindowRing`]), with tumbling/sliding [`WindowSpec`]s resolved to
 //!   pane runs.
 //! * [`engine`] — [`LiveCity`]: per-worker out-of-order buffering, a
@@ -41,50 +42,20 @@
 //!   localized fraction, mean position σ), plus [`LiveCity::snapshot`] and
 //!   the [`LiveSubscription`] hook dashboards drive — pollable, or
 //!   blocking on pane seals via [`LiveSubscription::wait_next`].
-//! * [`driver`] — [`LiveDriver`]: streams any batch [`FrameSource`]
+//! * [`driver`] — [`LiveDriver`]: streams any [`FrameSource`]
 //!   (synthetic or full-PHY) online, under pole-striped multi-threaded or
 //!   seeded shuffled-FIFO delivery.
 //! * [`dashboard`] — text rendering of the rolling state.
 //!
-//! Determinism is the headline contract, extended from the batch tier: for
-//! a fixed seed, any shard count, any worker count and **any arrival
-//! interleaving consistent with the watermarks** (FIFO per pole) yield a
-//! byte-identical sealed-window sequence — pinned by comparing fingerprint
-//! chains — and whole-run totals byte-identical to the batch pipeline's.
+//! Determinism is the headline contract: for a fixed seed, any shard count,
+//! any worker count, any seal pool and **any arrival interleaving
+//! consistent with the watermarks** (FIFO per pole) yield a byte-identical
+//! sealed-window sequence — pinned by comparing fingerprint chains — and
+//! a chain and totals byte-identical to the single-threaded
+//! [`caraoke_city::reference`] fold of the same reports.
 //!
-//! # The live ingest hot path
-//!
-//! The first engine generation serialized every ingest thread on a global
-//! watermark mutex, ran pane sealing inline on whichever ingest thread
-//! advanced the watermark (re-locking every shard and stripe while holding
-//! the sealed-state lock), and heap-allocated and sorted a scratch vector
-//! per report. That capped online ingest at roughly a third of the batch
-//! tier's rate. The current design keeps the data plane lock-light and
-//! pushes all reconciliation to a dedicated control thread:
-//!
-//! 1. **Ingest** (any thread, per report): one atomic load of the seal
-//!    floor, an uncontended lock of the calling thread's own worker slot
-//!    (observations appended with their precomputed shard and within-report
-//!    index; report-level segment counters folded into a flat pane-indexed
-//!    table), then a lock-free watermark update. No global lock, no
-//!    allocation, no sort. If — and only if — this report completed a pane
-//!    boundary, the thread raises the sealer's target and signals a
-//!    condvar.
-//! 2. **Seal** (the dedicated sealer thread): drain every worker slot once
-//!    per released target, establish the canonical
-//!    `(pane, shard, timestamp, pole, tag, seq)` order with one sort, run
-//!    the per-shard [`TagTracker`] state machines (now plain owned state —
-//!    sealing was always serialized, so the old per-shard mutexes bought
-//!    nothing), fingerprint and publish each pane, then notify blocked
-//!    subscribers ([`LiveSubscription::wait_next`], [`LiveCity::finish`],
-//!    [`LiveCity::wait_idle`]).
-//!
-//! Measured on the same container before/after the rework (1 000 poles,
-//! ≥1 M observations, 8 ingest workers — `cargo bench --bench live_scale`
-//! and the `experiments live` sweep): online ingest went from
-//! **≈0.36 M obs/s (vs ≈1.0 M batch)** to **≈1.7 M obs/s (vs ≈1.7 M
-//! batch)** — the online path now runs at (and often above) the batch
-//! pipeline's rate, with the determinism contract unchanged.
+//! The ingest hot path and the drain → sort → fold → publish seal path
+//! are described in [`engine`].
 //!
 //! [`PoleReport`]: caraoke_city::PoleReport
 //! [`CityAggregates`]: caraoke_city::CityAggregates

@@ -42,8 +42,8 @@
 //!
 //! Complexity: an `observe` costs O(panes crossed by this report), amortized
 //! O(1) at a steady report cadence — and no longer serializes ingest threads
-//! on a global mutex, which is what lets the watermark keep up with the
-//! batch tier's millions of observations per second.
+//! on a global mutex, which is what lets the watermark keep up with
+//! millions of observations per second.
 
 use caraoke_city::PoleId;
 use std::collections::BTreeMap;

@@ -1,7 +1,7 @@
 //! Window-keyed aggregate state.
 //!
-//! The batch tier's aggregators ([`CityAggregates`] and its parts) are
-//! whole-run accumulators. The live tier generalizes them into **panes**:
+//! The city aggregators ([`CityAggregates`] and its parts) are whole-run
+//! accumulators. The live tier generalizes them into **panes**:
 //! fixed-width slices of event time (the watermark's granularity, see
 //! [`crate::watermark`]). Each pane accumulates its own aggregate state;
 //! *windows* — tumbling or sliding — are unions of consecutive panes, so one

@@ -302,6 +302,13 @@ impl<'a> Dec<'a> {
         Ok(f64::from_bits(self.u64(what)?))
     }
 
+    /// A preallocation size for `count` items of at least `min_bytes`
+    /// encoded bytes each, capped by what the bytes left could hold — so a
+    /// hostile length prefix can never force a huge allocation.
+    fn capacity(&self, count: u32, min_bytes: usize) -> usize {
+        (count as usize).min((self.buf.len() - self.pos) / min_bytes)
+    }
+
     fn done(&self) -> Result<(), String> {
         if self.pos != self.buf.len() {
             return Err(format!(
@@ -490,6 +497,10 @@ fn encode_delta(buf: &mut Vec<u8>, delta: &TrackerDelta) {
     put_u64(buf, delta.stats.alias_collisions);
 }
 
+/// Smallest encoded [`TrackerDelta`]: three empty list counts plus the
+/// three alias counters.
+const MIN_DELTA_BYTES: usize = 3 * 4 + 3 * 8;
+
 fn decode_delta(dec: &mut Dec<'_>) -> Result<TrackerDelta, String> {
     let mut delta = TrackerDelta::default();
     let n_upserts = dec.u32("upsert count")?;
@@ -585,7 +596,7 @@ pub fn decode_record(payload: &[u8]) -> Result<LogRecord, String> {
             let chain = dec.u64("pane chain")?;
             let aggregates = decode_aggregates(&mut dec)?;
             let n_shards = dec.u32("pane shard count")?;
-            let mut deltas = Vec::with_capacity(n_shards as usize);
+            let mut deltas = Vec::with_capacity(dec.capacity(n_shards, MIN_DELTA_BYTES));
             for _ in 0..n_shards {
                 deltas.push(decode_delta(&mut dec)?);
             }
@@ -605,13 +616,13 @@ pub fn decode_record(payload: &[u8]) -> Result<LogRecord, String> {
             let forced_panes = dec.u64("snapshot forced_panes")?;
             let forced_pole_misses = dec.u64("snapshot forced_pole_misses")?;
             let n_dead = dec.u32("snapshot dead count")?;
-            let mut dead_poles = Vec::with_capacity(n_dead as usize);
+            let mut dead_poles = Vec::with_capacity(dec.capacity(n_dead, 4));
             for _ in 0..n_dead {
                 dead_poles.push(dec.u32("snapshot dead pole")?);
             }
             let total = decode_aggregates(&mut dec)?;
             let n_shards = dec.u32("snapshot shard count")?;
-            let mut trackers = Vec::with_capacity(n_shards as usize);
+            let mut trackers = Vec::with_capacity(dec.capacity(n_shards, MIN_DELTA_BYTES));
             for _ in 0..n_shards {
                 trackers.push(decode_delta(&mut dec)?);
             }
@@ -762,6 +773,23 @@ mod tests {
             decode_record(&encode_dead_pole(12)).expect("decode"),
             LogRecord::DeadPole(12)
         );
+    }
+
+    #[test]
+    fn hostile_length_prefixes_fail_without_preallocating() {
+        // A snapshot header claiming u32::MAX dead poles, then nothing: the
+        // decoder must run out of bytes and say so, not reserve 16 GiB.
+        let mut snapshot = vec![REC_SNAPSHOT];
+        for field in [17u64, 0xfeed, 0, 0] {
+            put_u64(&mut snapshot, field);
+        }
+        put_u32(&mut snapshot, u32::MAX);
+        assert!(decode_record(&snapshot).is_err());
+        // The same for a pane record's shard count.
+        let mut pane = encode_pane(3, false, 0, 1, 2, &CityAggregates::new(), &[]);
+        pane.truncate(pane.len() - 4);
+        put_u32(&mut pane, u32::MAX);
+        assert!(decode_record(&pane).is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! writes it):
 //!
 //! ```text
-//!               caraoke-city                 batch aggregates, trackers
+//!               caraoke-city                 aggregates, trackers
 //!                    |
 //!               caraoke-log   ← this crate   durable sealed-pane log:
 //!                    |                       CRC framing, fingerprint-
@@ -37,9 +37,9 @@
 //! * [`reader`] — [`LogReader`] / [`RecordCursor`]: verified iteration
 //!   from any pane with typed [`LogError`]s distinguishing CRC damage,
 //!   chain breaks, pane gaps, and torn tails.
-//! * [`replay`] — [`LogCity`] (batch-as-replay: a log replayed into
+//! * [`replay`] — [`LogCity`] (verified replay: a log replayed into
 //!   [`CityAggregates`](caraoke_city::CityAggregates), fingerprint-equal
-//!   to the writing engine and to a direct batch run) and
+//!   to the writing engine and to the reference fold) and
 //!   [`recover_state`] (everything a restarted `caraoke-live` engine
 //!   needs to resume at the first unsealed pane).
 //!

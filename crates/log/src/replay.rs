@@ -1,11 +1,11 @@
-//! Batch-as-replay and crash recovery: the two consumers that turn a log
+//! Verified replay and crash recovery: the two consumers that turn a log
 //! back into engine state.
 //!
-//! [`LogCity`] is the batch driver face of the log — it replays every pane
+//! [`LogCity`] is the read-only face of the log — it replays every pane
 //! into cumulative [`CityAggregates`], which the tests assert
-//! fingerprint-equal to both the live engine that wrote the log and a
-//! direct batch run over the same observations (one code path, two
-//! speeds). [`recover_state`] is the engine face — it rebuilds everything
+//! fingerprint-equal to both the live engine that wrote the log and the
+//! `caraoke_city::reference` fold of the same observations.
+//! [`recover_state`] is the engine face — it rebuilds everything
 //! `caraoke-live` needs to resume sealing at the first unsealed pane.
 
 use crate::codec::LogRecord;
@@ -45,7 +45,7 @@ pub struct LogReplay {
     pub distinct_tags: usize,
 }
 
-/// Replays a pane log as a batch source of [`CityAggregates`].
+/// Replays a pane log into cumulative [`CityAggregates`].
 #[derive(Debug, Clone)]
 pub struct LogCity {
     dir: PathBuf,

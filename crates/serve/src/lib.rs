@@ -5,8 +5,8 @@
 //! ```text
 //!               caraoke-sim
 //!                    |
-//!              caraoke-city                  batch: sharded store, sort-at-
-//!                    |                       finalize, whole-run snapshot
+//!              caraoke-city                  wire model, tracker, aggregates,
+//!                    |                       frame sources, reference fold
 //!              caraoke-log                   durable sealed-pane log:
 //!                    |                       verified replay, recovery
 //!              caraoke-live                  online: watermarked ingest,

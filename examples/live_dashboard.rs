@@ -8,11 +8,11 @@
 //!    `LiveSubscription::wait_next`** — woken by the sealer thread the
 //!    moment each pane seals, instead of busy-polling;
 //! 2. a 1 000-pole synthetic city streamed online, rendering the rolling
-//!    windows mid-run and comparing online vs batch throughput at the end.
+//!    windows and checking the chain and totals against the reference fold.
 //!
 //! Run with: `cargo run --release --example live_dashboard`
 
-use caraoke_suite::city::{BatchDriver, FrameSource, PhyCity, StoreConfig, SyntheticCity};
+use caraoke_suite::city::{reference, FrameSource, PhyCity, SyntheticCity};
 use caraoke_suite::live::{
     dashboard, Interleaving, LiveCity, LiveConfig, LiveDriver, LiveSubscription,
 };
@@ -87,19 +87,17 @@ fn main() {
     live.finish();
     let elapsed = start.elapsed().as_secs_f64();
     println!("{}", dashboard::render(&live, 5));
-    let batch = BatchDriver {
-        workers: 8,
-        consumers: 2,
-        queue_capacity: 4096,
-        store: StoreConfig::default(),
-    }
-    .run(&city);
+    let oracle = reference::fold(
+        city.directory(),
+        &driver.config.store,
+        driver.config.pane_us,
+        &reference::reports_of(&city),
+    );
     let stats = live.stats();
     println!(
-        "online: {:.0} obs/s | batch: {:.0} obs/s | window chain {:#018x} | totals match batch: {}",
+        "online: {:.0} obs/s | window chain {:#018x} | matches reference fold: {}",
         stats.observations as f64 / elapsed.max(1e-9),
-        batch.observations_per_sec(),
         live.fingerprint_chain(),
-        live.totals().fingerprint() == batch.aggregates.fingerprint(),
+        live.totals() == oracle.totals() && live.fingerprint_chain() == oracle.chain(),
     );
 }

@@ -9,11 +9,11 @@
 //!    frontiers, tracker state, window rings) and ingest resumes at the
 //!    seal floor — landing byte-identical to an uninterrupted run;
 //! 4. `LogCity` replays the log with every CRC and fingerprint re-checked,
-//!    closing the triangle against a direct batch run.
+//!    closing the triangle against the single-threaded reference fold.
 //!
 //! Run with: `cargo run --release --example log_replay`
 
-use caraoke_suite::city::{BatchDriver, FrameSource, StoreConfig, SyntheticCity};
+use caraoke_suite::city::{reference, FrameSource, StoreConfig, SyntheticCity};
 use caraoke_suite::live::{LiveCity, LiveConfig};
 use caraoke_suite::log::{LogCity, LogOptions};
 use std::path::{Path, PathBuf};
@@ -120,25 +120,23 @@ fn main() {
     drop(recovered);
 
     // 4. Verified replay of the stitched log (pre-crash + post-recovery
-    // segments), plus the third side of the triangle: a direct batch run.
+    // segments), plus the third side of the triangle: the reference fold.
     let replay = LogCity::open(&crash_dir).replay().expect("verified replay");
-    let batch = BatchDriver {
-        workers: WORKERS,
-        consumers: 2,
-        queue_capacity: 4096,
-        store: StoreConfig {
-            shards: 4,
-            ..Default::default()
-        },
-    }
-    .run(&source);
+    let oracle = reference::fold(
+        source.directory(),
+        &config().store,
+        config().pane_us,
+        &reference::reports_of(&source),
+    );
     println!(
         "act 4: verified replay of {} panes -> chain {:#018x}, {} observations",
         replay.panes, replay.chain, replay.totals.observations,
     );
     println!(
-        "  triangle closed (replay == live == batch): {}",
-        replay.chain == ref_chain && replay.totals.fingerprint() == batch.aggregates.fingerprint(),
+        "  triangle closed (replay == live == reference): {}",
+        replay.chain == ref_chain
+            && replay.chain == oracle.chain()
+            && replay.totals == oracle.totals(),
     );
 
     let keep: PathBuf = crash_dir;

@@ -3,7 +3,7 @@
 //! `caraoke-live` watermarked online ingestion, windowed aggregation and
 //! the query API.
 
-use caraoke_suite::city::{BatchDriver, FrameSource, PhyCity, SegmentId, StoreConfig};
+use caraoke_suite::city::{reference, FrameSource, PhyCity, SegmentId, StoreConfig};
 use caraoke_suite::live::{
     Interleaving, LiveAnswer, LiveCity, LiveConfig, LiveDriver, LiveQuery, LiveSubscription,
     WindowSpec,
@@ -79,7 +79,7 @@ fn sim_to_reader_to_live_produces_coherent_windowed_analytics() {
     assert_eq!(run.stats.buffered_observations, 0);
     assert!(run.stats.observations > 0, "poles must hear tags");
 
-    // Whole-run coherence matches the batch e2e expectations.
+    // Whole-run coherence matches the city e2e expectations.
     let seg_a = &run.totals.segments[&0];
     assert!(seg_a.mean_occupancy() >= 1.0, "street A parked cars");
     assert!(run.totals.od.total() > 0, "no OD transitions recorded");
@@ -95,7 +95,7 @@ fn sim_to_reader_to_live_produces_coherent_windowed_analytics() {
 }
 
 #[test]
-fn live_window_chain_is_invariant_and_totals_match_batch() {
+fn live_window_chain_is_invariant_and_matches_the_reference_fold() {
     let city = PhyCity::campus(2, 8, 21);
     let a = live_driver(1, 1, Interleaving::PoleStriped).run(&city);
     let b = live_driver(4, 8, Interleaving::PoleStriped).run(&city);
@@ -111,17 +111,18 @@ fn live_window_chain_is_invariant_and_totals_match_batch() {
     assert_eq!(a.totals, b.totals);
     assert_eq!(a.totals, c.totals);
 
-    // The online totals equal the batch pipeline's aggregates for the same
+    // The online chain and totals equal the reference fold of the same
     // PHY source, byte for byte.
-    let batch = BatchDriver {
-        workers: 4,
-        consumers: 2,
-        queue_capacity: 32,
-        store: StoreConfig::default(),
-    }
-    .run(&city);
-    assert_eq!(a.totals.fingerprint(), batch.aggregates.fingerprint());
-    assert_eq!(a.totals, batch.aggregates);
+    let config = live_driver(1, 1, Interleaving::PoleStriped).config;
+    let oracle = reference::fold(
+        city.directory(),
+        &config.store,
+        config.pane_us,
+        &reference::reports_of(&city),
+    );
+    assert_eq!(a.totals.fingerprint(), oracle.totals().fingerprint());
+    assert_eq!(a.totals, oracle.totals());
+    assert_eq!(a.chain_fingerprint, oracle.chain());
 }
 
 #[test]

@@ -1,9 +1,9 @@
 //! End-to-end tests for the durability tier: the fingerprint triangle
-//! (live chain == verified log replay == direct batch run), 16-thread
+//! (live chain == verified log replay == the reference fold), 16-thread
 //! kill-and-recover resuming byte-identical to an uninterrupted run, and
 //! verified replay refusing a tampered log.
 
-use caraoke_suite::city::{BatchDriver, FrameSource, StoreConfig, SyntheticCity};
+use caraoke_suite::city::{reference, FrameSource, StoreConfig, SyntheticCity};
 use caraoke_suite::live::{LiveCity, LiveConfig};
 use caraoke_suite::log::{segment, LogCity, LogOptions, LogReader};
 use rand::rngs::StdRng;
@@ -75,7 +75,7 @@ fn the_fingerprint_triangle_closes() {
     // One source, three independent derivations of the same aggregates:
     // (a) a logged live engine under 16-thread randomized delivery,
     // (b) a verified replay of the pane log it wrote,
-    // (c) a direct batch run — all fingerprint-equal.
+    // (c) the single-threaded reference fold — all fingerprint-equal.
     let dir = scratch("triangle");
     let source = SyntheticCity::new(32, 12, 9001);
     let live = LiveCity::with_log(
@@ -100,22 +100,23 @@ fn the_fingerprint_triangle_closes() {
     assert_eq!(replay.totals, totals, "log replay totals == live totals");
     assert_eq!(replay.torn_tail_bytes, 0);
 
-    let batch = BatchDriver {
-        workers: 4,
-        consumers: 2,
-        queue_capacity: 32,
-        store: StoreConfig {
-            shards: 4,
-            ..Default::default()
-        },
-    }
-    .run(&source);
-    assert_eq!(
-        batch.aggregates.fingerprint(),
-        replay.totals.fingerprint(),
-        "batch fingerprint == replay fingerprint"
+    let oracle = reference::fold(
+        source.directory(),
+        &config(4).store,
+        config(4).pane_us,
+        &reference::reports_of(&source),
     );
-    assert_eq!(batch.aggregates, replay.totals);
+    assert_eq!(
+        oracle.totals().fingerprint(),
+        replay.totals.fingerprint(),
+        "reference fingerprint == replay fingerprint"
+    );
+    assert_eq!(oracle.totals(), replay.totals);
+    assert_eq!(
+        oracle.chain(),
+        replay.chain,
+        "reference chain == replay chain"
+    );
 }
 
 #[test]

@@ -8,8 +8,8 @@ use caraoke_phy::modulation::{manchester_decode, manchester_encode};
 use caraoke_phy::protocol::{TransponderId, TransponderPacket};
 use caraoke_suite::city::FrameSource;
 use caraoke_suite::city::{
-    PoleDirectory, PoleId, PoleReport, PoleSite, SegmentId, ShardedStore, StoreConfig,
-    SyntheticCity, TagKey, TagObservation,
+    reference, PoleDirectory, PoleId, PoleReport, PoleSite, SegmentId, StoreConfig, SyntheticCity,
+    TagKey, TagObservation,
 };
 use caraoke_suite::live::{LiveCity, LiveConfig};
 use proptest::prelude::*;
@@ -137,14 +137,8 @@ proptest! {
             })
             .collect();
         let run = |n_shards: usize| {
-            let store = ShardedStore::new(
-                directory(),
-                StoreConfig { shards: n_shards, ..Default::default() },
-            );
-            for r in &reports {
-                store.scatter(r);
-            }
-            store.finalize(n_shards.min(4))
+            let config = StoreConfig { shards: n_shards, ..Default::default() };
+            reference::fold(&directory(), &config, 1_000_000, &reports).totals()
         };
         let one = run(1);
         let many = run(shards);
